@@ -7,7 +7,7 @@
 // structural pass on top (paren/brace matching, template-argument skipping,
 // function-signature and call-argument extraction) -- enough to make the
 // rule set immune to the string/comment false positives the retired
-// sed/grep gate (scripts/lint_sim_rules.sh) suffered from, without growing
+// sed/grep lint suffered from, without growing
 // a type checker.
 //
 // Rules are zone-scoped: a file's path classifies it (kernel = src/sim +

@@ -235,7 +235,7 @@ void rule_sim_ptr_key_map(const SourceFile& f, const Corpus&, std::vector<Findin
 }
 
 /// Flags std:: associative containers whose FIRST template argument is a raw
-/// fs::Path in shard-hot (kernel/net) files. A Path key copies header + heap
+/// fs::Path in hot-path (kernel/net) files. A Path key copies header + heap
 /// spelling per entry and rehashes on every probe; million-entry tables key
 /// by fs::InternedPath (4 bytes, dense ids, cached hash) against the table's
 /// owning interner instead. Cold config-time tables opt out with lint-allow.
@@ -562,7 +562,7 @@ const std::vector<RuleInfo>& rule_catalog() {
        "ordered container keyed by pointer iterates in allocation-address order",
        kZoneKernel | kZoneNet},
       {"path-key-map",
-       "associative container keyed by raw fs::Path in shard-hot files; key by "
+       "associative container keyed by raw fs::Path in hot-path files; key by "
        "fs::InternedPath",
        kZoneKernel | kZoneNet},
       {"sim-reinterpret-coro",

@@ -156,8 +156,11 @@ sim::Task<> LsmStore::flush_oldest_immutable() {
   if (rows.empty()) co_return;
   auto table = std::make_shared<SsTable>(next_table_id_++, std::move(rows),
                                          config_.bloom_bits_per_key);
-  co_await disk_.write(table->data_bytes());
+  // Install before the write await: the rows left the immutable queue
+  // above, so readers must find them in L0 while the write is in flight.
+  const std::uint64_t bytes_out = table->data_bytes();
   levels_[0].push_back(std::move(table));  // newest at the back
+  co_await disk_.write(bytes_out);
 }
 
 std::uint64_t LsmStore::level_bytes(std::size_t level) const {
@@ -183,10 +186,10 @@ sim::Task<> LsmStore::maybe_compact() {
 
 sim::Task<> LsmStore::compact_level(std::size_t level) {
   assert(level + 1 < levels_.size());
-  auto upper = std::move(levels_[level]);
-  auto lower = std::move(levels_[level + 1]);
-  levels_[level].clear();
-  levels_[level + 1].clear();
+  // The inputs stay installed while their read is in flight, so readers
+  // still find every row; the outputs replace them only after the read.
+  auto upper = levels_[level];
+  auto lower = levels_[level + 1];
   if (upper.empty() && lower.empty()) co_return;
 
   // Newest-first source ordering: upper level beats lower; within a level,
@@ -205,6 +208,13 @@ sim::Task<> LsmStore::compact_level(std::size_t level) {
     for (const auto& row : table->rows()) merged.emplace(row.first, row.second);
   }
   co_await disk_.read(read_bytes);
+
+  // An ingest may have added L0 tables during the read; drop only the
+  // inputs. Nothing else writes below L0 (maintenance is serialised).
+  std::erase_if(levels_[level], [&](const std::shared_ptr<SsTable>& t) {
+    return std::find(upper.begin(), upper.end(), t) != upper.end();
+  });
+  levels_[level + 1].clear();
 
   const bool into_last_level = level + 2 == levels_.size();
   std::vector<std::pair<std::string, std::optional<std::string>>> out_rows;

@@ -119,6 +119,46 @@ TEST(LsmStore, ValuesSurviveFlushToL0) {
   EXPECT_GT(f.disk.writes(), 0u);
 }
 
+TEST(LsmStore, GetDuringFlushFindsFlushingRows) {
+  Fixture f(tiny_memtables());
+  sim::run_task(f.sim, [](LsmStore& s) -> Task<> {
+    // Fill the memtable until it rotates: the put that rotates it spawns
+    // the flush, which takes the immutable memtable and starts its disk
+    // write before this process runs again.
+    int n = 0;
+    do {
+      co_await s.put(key_of(n), "v" + std::to_string(n));
+      ++n;
+    } while (s.memtable_bytes_used() > 0);
+    EXPECT_EQ(s.compactions(), 0u);
+    // The get's CPU charge is far shorter than the flush's disk write, so
+    // it probes while the write is in flight.
+    EXPECT_EQ((co_await s.get(key_of(0))).value_or(""), "v0");
+    co_await s.quiesce();
+    EXPECT_EQ((co_await s.get(key_of(0))).value_or(""), "v0");
+  }(f.store));
+}
+
+TEST(LsmStore, GetDuringCompactionFindsCompactingRows) {
+  Fixture f(tiny_memtables());
+  sim::run_task(f.sim, [](LsmStore& s) -> Task<> {
+    // Each ingest makes one L0 table; the third reaches the compaction
+    // trigger and spawns a compaction that starts its input read before
+    // this process runs again.
+    for (int t = 0; t < 3; ++t) {
+      std::vector<std::pair<std::string, std::string>> rows;
+      for (int i = 0; i < 10; ++i) rows.emplace_back(key_of(t * 10 + i), "t" + std::to_string(t));
+      co_await s.ingest(std::move(rows));
+    }
+    EXPECT_EQ(s.compactions(), 0u);
+    // The get's CPU charge is far shorter than the compaction's read.
+    EXPECT_EQ((co_await s.get(key_of(5))).value_or(""), "t0");
+    co_await s.quiesce();
+    EXPECT_EQ(s.compactions(), 1u);
+    EXPECT_EQ((co_await s.get(key_of(5))).value_or(""), "t0");
+  }(f.store));
+}
+
 TEST(LsmStore, CompactionMergesRunsAndPreservesData) {
   Fixture f(tiny_memtables());
   sim::run_task(f.sim, [](LsmStore& s) -> Task<> {

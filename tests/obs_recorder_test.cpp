@@ -2,12 +2,13 @@
 //
 // The load-bearing properties: sampling is driven by the *virtual* clock on
 // an exact cadence, counters are exported as per-window deltas, the ring
-// drops oldest-first with an accurate dropped count, the exported timeline
-// JSON is byte-identical across same-seed runs and (with kernel sampling
-// off) across event-shard counts, and a destroyed recorder leaves its
+// drops oldest-first with an accurate dropped count, every frame carries the
+// kernel's per-window event count, the exported timeline JSON is
+// byte-identical across same-seed runs, and a destroyed recorder leaves its
 // pending tick inert. Run under `ctest -L obs`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,7 +40,7 @@ Task<> churn(Simulation& sim, std::string name, SimDuration step,
 
 TEST(FlightRecorder, SamplesOnCadenceWithCounterDeltas) {
   Simulation sim(7);
-  FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 64, .sample_kernel = false});
+  FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 64});
   sim.spawn(churn(sim, "app", 300_us, 2, 20));  // ends at 6 ms
   sim.run_until(5_ms + 1);
 
@@ -47,8 +48,11 @@ TEST(FlightRecorder, SamplesOnCadenceWithCounterDeltas) {
   ASSERT_EQ(rec.frame_count(), 5u);
   EXPECT_EQ(rec.frames_recorded(), 5u);
   EXPECT_EQ(rec.frames_dropped(), 0u);
-  ASSERT_EQ(rec.counter_names().size(), 1u);
+  // Names are tracked in sorted first-sight order; the recorder's own
+  // kernel.events flush lands after the app's counter.
+  ASSERT_EQ(rec.counter_names().size(), 2u);
   EXPECT_EQ(rec.counter_names()[0], "app.ops");
+  EXPECT_EQ(rec.counter_names()[1], "kernel.events");
   ASSERT_EQ(rec.gauge_names().size(), 1u);
   EXPECT_EQ(rec.gauge_names()[0], "app.depth");
 
@@ -57,9 +61,8 @@ TEST(FlightRecorder, SamplesOnCadenceWithCounterDeltas) {
     const TimelineFrame& f = rec.frame(i);
     EXPECT_EQ(f.at, static_cast<sim::SimTime>((i + 1) * 1'000'000));
     for (const auto& [id, delta] : f.counter_deltas) {
-      EXPECT_EQ(id, 0u);
       EXPECT_GT(delta, 0u);  // zero deltas are elided
-      delta_sum += delta;
+      if (id == 0) delta_sum += delta;
     }
     // Gauges are present in every frame, even when unchanged.
     ASSERT_EQ(f.gauge_values.size(), 1u);
@@ -73,7 +76,7 @@ TEST(FlightRecorder, SamplesOnCadenceWithCounterDeltas) {
 
 TEST(FlightRecorder, RingDropsOldestOnWraparound) {
   Simulation sim(7);
-  FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 4, .sample_kernel = false});
+  FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 4});
   sim.spawn(churn(sim, "app", 500_us, 1, 30));  // keeps metrics moving past 10 ms
   sim.run_until(10_ms + 1);
 
@@ -88,7 +91,7 @@ TEST(FlightRecorder, RingDropsOldestOnWraparound) {
 
 TEST(FlightRecorder, TeardownSampleOnTickBoundaryIsSkipped) {
   Simulation sim(7);
-  FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 8, .sample_kernel = false});
+  FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 8});
   sim.spawn(churn(sim, "app", 400_us, 1, 10));
   sim.run_until(3_ms);  // run_until advances now() to the deadline exactly
 
@@ -106,7 +109,7 @@ TEST(FlightRecorder, DestroyedRecorderLeavesPendingTickInert) {
   Simulation sim(7);
   sim.spawn(churn(sim, "app", 400_us, 1, 20));
   {
-    FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 8, .sample_kernel = false});
+    FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 8});
     sim.run_until(2_ms + 1);
     EXPECT_EQ(rec.frame_count(), 2u);
     EXPECT_EQ(sim.recorder(), &rec);
@@ -116,45 +119,48 @@ TEST(FlightRecorder, DestroyedRecorderLeavesPendingTickInert) {
   SUCCEED();
 }
 
-// Runs the same two-process workload under `shards` event-kernel shards and
-// returns the exported timeline JSON.
-std::string run_workload_timeline(std::uint32_t shards, bool sample_kernel) {
-  Simulation sim(42, shards);
-  FlightRecorder rec(sim, {.cadence = 2_ms, .capacity = 32, .sample_kernel = sample_kernel});
-  sim.spawn_on(0, churn(sim, "alpha", 700_us, 3, 24));
-  sim.spawn_on(1, churn(sim, "beta", 1100_us, 5, 16));
+// Runs a two-process workload and returns the exported timeline JSON.
+std::string run_workload_timeline() {
+  Simulation sim(42);
+  FlightRecorder rec(sim, {.cadence = 2_ms, .capacity = 32});
+  sim.spawn(churn(sim, "alpha", 700_us, 3, 24));
+  sim.spawn(churn(sim, "beta", 1100_us, 5, 16));
   sim.run_until(20_ms);
   return rec.export_series_json("workload");
 }
 
 TEST(FlightRecorder, TimelineByteIdenticalAcrossRuns) {
-  const std::string a = run_workload_timeline(2, true);
-  const std::string b = run_workload_timeline(2, true);
+  const std::string a = run_workload_timeline();
+  const std::string b = run_workload_timeline();
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"label\":\"workload\""), std::string::npos);
 }
 
-TEST(FlightRecorder, TimelineByteIdenticalAcrossShardCountsWithoutKernelSeries) {
-  // Sharding never changes dispatch order, so with the shard-layout-specific
-  // kernel.shard<k>.* series disabled the export is byte-identical.
-  const std::string one = run_workload_timeline(1, false);
-  const std::string two = run_workload_timeline(2, false);
-  const std::string four = run_workload_timeline(4, false);
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, four);
-  EXPECT_EQ(one.find("kernel.shard"), std::string::npos);
-}
+TEST(FlightRecorder, FramesCarryKernelEventCounts) {
+  Simulation sim(7);
+  FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 64});
+  sim.spawn(churn(sim, "app", 300_us, 2, 20));
+  sim.run_until(5_ms + 1);
 
-TEST(FlightRecorder, KernelSamplingExposesShardSeries) {
-  const std::string json = run_workload_timeline(2, true);
-  EXPECT_NE(json.find("kernel.shard0.dispatched"), std::string::npos);
-  EXPECT_NE(json.find("kernel.shard1.dispatched"), std::string::npos);
-  EXPECT_NE(json.find("kernel.cross_shard_schedules"), std::string::npos);
+  const std::vector<std::string>& names = rec.counter_names();
+  const auto it = std::find(names.begin(), names.end(), "kernel.events");
+  ASSERT_NE(it, names.end());
+  const auto id = static_cast<std::uint32_t>(it - names.begin());
+  // The per-window deltas reassemble the kernel's event count up to the
+  // last frame (the 5 ms tick itself is the last event dispatched).
+  std::uint64_t events = 0;
+  for (std::size_t i = 0; i < rec.frame_count(); ++i) {
+    for (const auto& [cid, delta] : rec.frame(i).counter_deltas) {
+      if (cid == id) events += delta;
+    }
+  }
+  EXPECT_EQ(events, sim.events_processed());
+  EXPECT_EQ(sim.metrics().counter("kernel.events").value(), sim.events_processed());
 }
 
 TEST(TimelineReport, WrapsSeriesInSchemaDocument) {
   Simulation sim(7);
-  FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 8, .sample_kernel = false});
+  FlightRecorder rec(sim, {.cadence = 1_ms, .capacity = 8});
   sim.spawn(churn(sim, "app", 400_us, 1, 10));
   sim.run_until(4_ms + 1);
 
