@@ -4,6 +4,8 @@
 // simulator itself (how fast experiments run), not simulated time.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "fs/path.h"
 #include "kv/hash_ring.h"
 #include "kv/memcache.h"
@@ -53,7 +55,7 @@ void BM_MemCacheApply(benchmark::State& state) {
   for (auto _ : state) {
     kv::KvRequest req{kv::KvRequest::Op::set, "/k" + std::to_string(i % 10'000),
                       "value-payload", 0, 0};
-    benchmark::DoNotOptimize(server.apply(req));
+    benchmark::DoNotOptimize(server.apply(std::move(req)));
     ++i;
   }
   state.SetItemsProcessed(state.iterations());

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Full correctness gate: pacon-analyze (the mandatory static-analysis pass,
 # scripts/analyze.sh), markdown link check, clang-tidy
-# (when available), then the sanitizer matrix -- ASan+UBSan and TSan builds with -Werror and the
+# (when available), the repository benchmark's self-test
+# (benchmark/test_bench.py: every workload runs, prints every BENCHMARK.json
+# metric with its unit, and repeats its virtual-time metrics for a seed),
+# then the sanitizer matrix -- ASan+UBSan and TSan builds with -Werror and the
 # coroutine-lifetime detector compiled in, each running the entire ctest
 # suite (including the coroutine-detector unit tests and the determinism
 # checker) followed by an explicit `ctest -L faults` pass over the
@@ -38,7 +41,7 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-echo "==== [1/5] pacon-analyze ====================================================="
+echo "==== [1/6] pacon-analyze ====================================================="
 # The mandatory static-analysis gate (DESIGN.md section 12): determinism,
 # coroutine-lifetime, and hygiene rules over src/tests/bench/examples/tools,
 # held to scripts/analyze_baseline.txt. Runs first because it is the
@@ -46,13 +49,18 @@ echo "==== [1/5] pacon-analyze =================================================
 # the right schedule.
 "$root/scripts/analyze.sh"
 
-echo "==== [2/5] markdown links ===================================================="
+echo "==== [2/6] markdown links ===================================================="
 "$root/scripts/check_markdown.sh" "$root"
 
-echo "==== [3/5] clang-tidy ========================================================"
+echo "==== [3/6] clang-tidy ========================================================"
 "$root/scripts/tidy.sh"
 
-echo "==== [4/5] sanitizer matrix: ${modes[*]} ====="
+echo "==== [4/6] benchmark self-test ==============================================="
+# Small-scale runs of every BENCHMARK.json workload from the benchmark's own
+# Release build tree (build-check-bench/, reused across runs).
+CARGO_TARGET_DIR="$root/build-check-bench" python3 "$root/benchmark/test_bench.py"
+
+echo "==== [5/6] sanitizer matrix: ${modes[*]} ====="
 for mode in "${modes[@]}"; do
   build="$root/build-check-$mode"
   echo "---- PACON_SANITIZE=$mode: configure ($build)"
@@ -88,7 +96,7 @@ for mode in "${modes[@]}"; do
     ctest --test-dir "$build" -L mega --output-on-failure --timeout 300 -j "$jobs"
 done
 
-echo "==== [5/5] trace + timeline validation ======================================="
+echo "==== [6/6] trace + timeline validation ======================================="
 # Generate a real trace and flight-recorder timeline with the last sanitizer
 # tree's CLI, run the trace through pacon-trace's latency attribution, and
 # hold all three artifacts to scripts/trace_validate.py's invariants:
@@ -112,4 +120,4 @@ if [[ "$perf" == 1 ]]; then
   "$root/scripts/perfbench.sh" --build-dir "$root/build-perf"
 fi
 
-echo "check.sh: all gates passed (analyze, markdown, tidy, sanitizer matrix: ${modes[*]}, trace$([[ "$perf" == 1 ]] && echo ', perf'))"
+echo "check.sh: all gates passed (analyze, markdown, tidy, benchmark, sanitizer matrix: ${modes[*]}, trace$([[ "$perf" == 1 ]] && echo ', perf'))"

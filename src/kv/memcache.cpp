@@ -19,110 +19,131 @@ MemCacheServer::MemCacheServer(sim::Simulation& sim, net::Fabric& fabric, net::N
       [this](KvRequest req) -> sim::Task<KvResponse> {
         const std::uint64_t kib = (req.value.size() + 1023) / 1024;
         co_await sim_.delay(config_.op_service_time + kib * config_.per_kib_service_time);
-        co_return apply(req);
+        co_return apply(std::move(req));
       },
       rpc_cfg);
-  // Pre-size the item table: growth rehashes of a multi-million-entry
-  // string-keyed map dominate store cost in metadata-heavy runs.
-  items_.reserve(1u << 16);
 }
 
-KvResponse MemCacheServer::apply(const KvRequest& req) {
+KvResponse MemCacheServer::apply(KvRequest req) {
+  assert(req.key_hash == 0 || req.key_hash == sim::Rng::hash(req.key));
+  const std::uint64_t hash = req.key_hash != 0 ? req.key_hash : sim::Rng::hash(req.key);
   using Op = KvRequest::Op;
   switch (req.op) {
     case Op::get: {
-      auto it = find_item(req);
+      auto it = find_item(req, hash);
       if (it == items_.end()) {
         misses_.add();
         return KvResponse{KvStatus::not_found, {}, 0, 0};
       }
       hits_.add();
-      touch_lru(it->first, it->second);
+      if (config_.lru_eviction) {
+        lru_unlink(*it);
+        lru_link_front(*it);
+      }
       return KvResponse{KvStatus::ok, it->second.value, it->second.cas, it->second.flags};
     }
     case Op::set:
-      return store(req, /*must_exist=*/false, /*must_not_exist=*/false, /*check_cas=*/false);
+      return store(req, hash, /*must_exist=*/false, /*must_not_exist=*/false, /*check_cas=*/false);
     case Op::add:
-      return store(req, /*must_exist=*/false, /*must_not_exist=*/true, /*check_cas=*/false);
+      return store(req, hash, /*must_exist=*/false, /*must_not_exist=*/true, /*check_cas=*/false);
     case Op::replace:
-      return store(req, /*must_exist=*/true, /*must_not_exist=*/false, /*check_cas=*/false);
+      return store(req, hash, /*must_exist=*/true, /*must_not_exist=*/false, /*check_cas=*/false);
     case Op::cas:
-      return store(req, /*must_exist=*/true, /*must_not_exist=*/false, /*check_cas=*/true);
+      return store(req, hash, /*must_exist=*/true, /*must_not_exist=*/false, /*check_cas=*/true);
     case Op::del: {
-      auto it = find_item(req);
+      auto it = find_item(req, hash);
       if (it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0, 0};
-      erase_item(it->first);
+      erase_item(it);
       return KvResponse{KvStatus::ok, {}, 0, 0};
     }
   }
   return KvResponse{KvStatus::not_found, {}, 0, 0};
 }
 
-KvResponse MemCacheServer::store(const KvRequest& req, bool must_exist, bool must_not_exist,
-                                 bool check_cas) {
-  auto it = find_item(req);
-  if (must_exist && it == items_.end()) return KvResponse{KvStatus::not_found, {}, 0, 0};
-  if (must_not_exist && it != items_.end()) return KvResponse{KvStatus::exists, {}, 0, 0};
+KvResponse MemCacheServer::store(KvRequest& req, std::uint64_t hash, bool must_exist,
+                                 bool must_not_exist, bool check_cas) {
+  auto it = find_item(req, hash);
+  const bool present = it != items_.end();
+  if (must_exist && !present) return KvResponse{KvStatus::not_found, {}, 0, 0};
+  if (must_not_exist && present) return KvResponse{KvStatus::exists, {}, 0, 0};
   if (check_cas && it->second.cas != req.cas) {
     return KvResponse{KvStatus::cas_mismatch, {}, it->second.cas, it->second.flags};
   }
 
-  const std::uint64_t new_size = item_footprint(req.key, req.value);
-  const std::uint64_t old_size = it == items_.end() ? 0 : item_footprint(req.key, it->second.value);
+  const std::uint64_t new_size = item_footprint(req.key.size(), req.value);
+  const std::uint64_t old_size = present ? item_footprint(req.key.size(), it->second.value) : 0;
   // Refuse before destroying the old value if eviction cannot make room.
   if (bytes_used_ - old_size + new_size > config_.capacity_bytes && !config_.lru_eviction) {
     return KvResponse{KvStatus::no_space, {}, 0, 0};
   }
-  // Updates are erase + fresh insert: the old footprint is released first so
-  // LRU eviction can never pick the key being written as its own victim.
-  if (it != items_.end()) erase_item(req.key);
+  // An update releases the old footprint and recency slot first, so LRU
+  // eviction can never pick the key being written as its own victim.
+  if (present) {
+    bytes_used_ -= old_size;
+    if (config_.lru_eviction) lru_unlink(*it);
+  }
   if (bytes_used_ + new_size > config_.capacity_bytes && !make_room(new_size)) {
+    if (present) items_.erase(it);  // its bytes and recency slot are already released
     return KvResponse{KvStatus::no_space, {}, 0, 0};
   }
 
-  lru_.push_front(req.key);
-  Item item{req.value, next_cas_++, req.flags, lru_.begin()};
+  if (present) {
+    it->second.value = std::move(req.value);
+    it->second.cas = next_cas_++;
+    it->second.flags = req.flags;
+  } else {
+    it = items_
+             .try_emplace(ItemKey{std::move(req.key), hash},
+                          Item{std::move(req.value), next_cas_++, req.flags})
+             .first;
+  }
   bytes_used_ += new_size;
-  it = items_.emplace(req.key, std::move(item)).first;
+  if (config_.lru_eviction) lru_link_front(*it);
   stores_.add();
   return KvResponse{KvStatus::ok, {}, it->second.cas, it->second.flags};
 }
 
-void MemCacheServer::touch_lru(const std::string& key, Item& item) {
-  lru_.erase(item.lru_pos);
-  lru_.push_front(key);
-  item.lru_pos = lru_.begin();
+void MemCacheServer::lru_link_front(Entry& entry) {
+  entry.second.newer = nullptr;
+  entry.second.older = lru_newest_;
+  if (lru_newest_ != nullptr) lru_newest_->second.newer = &entry;
+  lru_newest_ = &entry;
+  if (lru_oldest_ == nullptr) lru_oldest_ = &entry;
+}
+
+void MemCacheServer::lru_unlink(Entry& entry) {
+  Item& item = entry.second;
+  (item.newer != nullptr ? item.newer->second.older : lru_newest_) = item.older;
+  (item.older != nullptr ? item.older->second.newer : lru_oldest_) = item.newer;
 }
 
 bool MemCacheServer::make_room(std::uint64_t need) {
   if (!config_.lru_eviction) return false;
-  while (bytes_used_ + need > config_.capacity_bytes && !lru_.empty()) {
-    const std::string victim = lru_.back();
-    erase_item(victim);
+  while (bytes_used_ + need > config_.capacity_bytes && lru_oldest_ != nullptr) {
+    const ItemKey& victim = lru_oldest_->first;
+    erase_item(items_.find(PrehashedKey{victim.key, victim.hash}));
     ++evictions_;
   }
   return bytes_used_ + need <= config_.capacity_bytes;
 }
 
-void MemCacheServer::erase_item(const std::string& key) {
-  auto it = items_.find(key);
-  assert(it != items_.end());
-  bytes_used_ -= item_footprint(key, it->second.value);
-  lru_.erase(it->second.lru_pos);
+void MemCacheServer::erase_item(ItemMap::iterator it) {
+  bytes_used_ -= item_footprint(it->first.key.size(), it->second.value);
+  if (config_.lru_eviction) lru_unlink(*it);
   items_.erase(it);
 }
 
 std::vector<std::string> MemCacheServer::keys_with_prefix(const std::string& prefix) const {
   std::vector<std::string> out;
   for (const auto& [key, item] : items_) {
-    if (key.starts_with(prefix)) out.push_back(key);
+    if (key.key.starts_with(prefix)) out.push_back(key.key);
   }
   return out;
 }
 
 void MemCacheServer::flush() {
   items_.clear();
-  lru_.clear();
+  lru_newest_ = lru_oldest_ = nullptr;
   bytes_used_ = 0;
 }
 
@@ -189,6 +210,7 @@ constexpr const char* span_name(KvRequest::Op op) {
 sim::Task<KvResponse> MemCacheCluster::route(net::NodeId from, KvRequest req,
                                              obs::SpanId parent) {
   assert(!ring_.empty());
+  assert(req.key_hash == 0 || req.key_hash == sim::Rng::hash(req.key));
   // Route on the caller-supplied hash when present; fill it in otherwise so
   // the server's item table reuses it too.
   if (req.key_hash == 0) req.key_hash = sim::Rng::hash(req.key);

@@ -11,11 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "kv/hash_ring.h"
@@ -69,35 +70,9 @@ struct KvRequest {
   std::uint32_t flags = 0;
   /// Pre-computed sim::Rng::hash(key), or 0 for "unknown". Callers that hold
   /// a fs::Path pass its cached hash so neither the ring router nor the
-  /// server's item table rehashes the key string.
+  /// server's item table rehashes the key string. A nonzero value must equal
+  /// the key's hash (asserted in debug builds): a wrong one misfiles the item.
   std::uint64_t key_hash = 0;
-};
-
-/// Heterogeneous lookup key carrying an already-computed hash.
-struct PrehashedKey {
-  std::string_view key;
-  std::uint64_t hash;  // == sim::Rng::hash(key)
-};
-
-/// Transparent hasher/equality for the item table: plain strings hash with
-/// sim::Rng::hash (the cluster-wide key hash), PrehashedKey skips the work.
-struct KvKeyHash {
-  using is_transparent = void;
-  std::size_t operator()(const std::string& s) const noexcept {
-    return static_cast<std::size_t>(sim::Rng::hash(s));
-  }
-  std::size_t operator()(std::string_view s) const noexcept {
-    return static_cast<std::size_t>(sim::Rng::hash(s));
-  }
-  std::size_t operator()(const PrehashedKey& k) const noexcept {
-    return static_cast<std::size_t>(k.hash);
-  }
-};
-struct KvKeyEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const noexcept { return a == b; }
-  bool operator()(const PrehashedKey& a, std::string_view b) const noexcept { return a.key == b; }
-  bool operator()(std::string_view a, const PrehashedKey& b) const noexcept { return a == b.key; }
 };
 
 struct KvResponse {
@@ -124,8 +99,9 @@ class MemCacheServer {
   }
 
   /// Direct (local, zero-cost) application of a request; used by the RPC
-  /// handler and by tests that probe semantics without wire time.
-  KvResponse apply(const KvRequest& req);
+  /// handler and by tests that probe semantics without wire time. A store
+  /// moves the request's key and value into the item.
+  KvResponse apply(KvRequest req);
 
   std::uint64_t bytes_used() const { return bytes_used_; }
   std::uint64_t item_count() const { return items_.size(); }
@@ -142,34 +118,73 @@ class MemCacheServer {
   void flush();
 
  private:
+  /// Item-table key: the key string plus its sim::Rng::hash. The hash is
+  /// computed once (by the ring router, which always fills
+  /// KvRequest::key_hash) and lives in the table node, so lookups, growth
+  /// rehashes and bucket-chain walks never rehash the string.
+  struct ItemKey {
+    std::string key;
+    std::uint64_t hash;  // == sim::Rng::hash(key)
+  };
+
+  /// Lookup probe for the item table: a borrowed key with its hash.
+  struct PrehashedKey {
+    std::string_view key;
+    std::uint64_t hash;  // == sim::Rng::hash(key)
+  };
+
+  /// Transparent hasher/equality for the item table: both key types carry
+  /// their hash, and equality compares it before the strings.
+  struct ItemKeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const ItemKey& k) const noexcept {
+      return static_cast<std::size_t>(k.hash);
+    }
+    std::size_t operator()(const PrehashedKey& k) const noexcept {
+      return static_cast<std::size_t>(k.hash);
+    }
+  };
+  struct ItemKeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return a.hash == b.hash && a.key == b.key;
+    }
+  };
+
+  struct Item;
+  using Entry = std::pair<const ItemKey, Item>;
   struct Item {
     std::string value;
     std::uint64_t cas = 0;
     std::uint32_t flags = 0;
-    std::list<std::string>::iterator lru_pos;
+    // Intrusive recency list, linked only while lru_eviction is on. Table
+    // nodes keep their address across rehash, so plain pointers stay valid.
+    Entry* newer = nullptr;
+    Entry* older = nullptr;
   };
 
-  using ItemMap = std::unordered_map<std::string, Item, KvKeyHash, KvKeyEq>;
+  using ItemMap = std::unordered_map<ItemKey, Item, ItemKeyHash, ItemKeyEq>;
 
-  std::uint64_t item_footprint(const std::string& key, const std::string& value) const {
-    return key.size() + value.size() + config_.item_overhead_bytes;
+  std::uint64_t item_footprint(std::size_t key_size, const std::string& value) const {
+    return key_size + value.size() + config_.item_overhead_bytes;
   }
-  /// Table lookup using the request's pre-computed hash when present.
-  ItemMap::iterator find_item(const KvRequest& req) {
-    if (req.key_hash != 0) return items_.find(PrehashedKey{req.key, req.key_hash});
-    return items_.find(req.key);
+  ItemMap::iterator find_item(const KvRequest& req, std::uint64_t hash) {
+    return items_.find(PrehashedKey{req.key, hash});
   }
-  void touch_lru(const std::string& key, Item& item);
+  void lru_link_front(Entry& entry);
+  void lru_unlink(Entry& entry);
   bool make_room(std::uint64_t need);
-  void erase_item(const std::string& key);
-  KvResponse store(const KvRequest& req, bool must_exist, bool must_not_exist,
+  void erase_item(ItemMap::iterator it);
+  KvResponse store(KvRequest& req, std::uint64_t hash, bool must_exist, bool must_not_exist,
                    bool check_cas);
 
   sim::Simulation& sim_;
   net::NodeId node_;
   KvConfig config_;
   ItemMap items_;
-  std::list<std::string> lru_;  // front = most recent
+  Entry* lru_newest_ = nullptr;
+  Entry* lru_oldest_ = nullptr;
   std::uint64_t bytes_used_ = 0;
   std::uint64_t next_cas_ = 1;
   std::uint64_t evictions_ = 0;

@@ -10,6 +10,7 @@
 #include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "debug/coro_check.h"
 #include "sim/simulation.h"
@@ -19,6 +20,9 @@ namespace pacon::sim {
 /// Single-assignment value slot: one producer calls set(), any number of
 /// consumers await get() (each receives a copy; T must then be copyable, or
 /// use exactly one consumer with take()).
+///
+/// The first waiter is held inline and later ones overflow into a vector, so
+/// the common single-consumer slot (one per RPC call) never allocates.
 template <typename T>
 class OneShot {
  public:
@@ -26,7 +30,8 @@ class OneShot {
   OneShot(const OneShot&) = delete;
   OneShot& operator=(const OneShot&) = delete;
   ~OneShot() {
-    for (auto h : waiters_) debug::waiter_abandoned("OneShot", h.address());
+    if (first_waiter_) debug::waiter_abandoned("OneShot", first_waiter_.address());
+    for (auto h : more_waiters_) debug::waiter_abandoned("OneShot", h.address());
   }
 
   bool ready() const { return value_.has_value(); }
@@ -34,8 +39,10 @@ class OneShot {
   void set(T value) {
     assert(!value_.has_value() && "OneShot::set called twice");
     value_.emplace(std::move(value));
-    for (auto h : waiters_) sim_.schedule_now(h);
-    waiters_.clear();
+    // Wake in park order: the inline waiter parked first.
+    if (first_waiter_) sim_.schedule_now(std::exchange(first_waiter_, nullptr));
+    for (auto h : more_waiters_) sim_.schedule_now(h);
+    more_waiters_.clear();
   }
 
   /// Awaitable returning a reference-copied value.
@@ -48,7 +55,7 @@ class OneShot {
         if (!slot.canary_.check_alive()) return true;
         return slot.value_.has_value();
       }
-      void await_suspend(std::coroutine_handle<> h) { slot.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) { slot.park(h); }
       T await_resume() const { return *slot.value_; }
     };
     return Awaiter{*this};
@@ -62,16 +69,25 @@ class OneShot {
         if (!slot.canary_.check_alive()) return true;
         return slot.value_.has_value();
       }
-      void await_suspend(std::coroutine_handle<> h) { slot.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) { slot.park(h); }
       T await_resume() const { return std::move(*slot.value_); }
     };
     return Awaiter{*this};
   }
 
  private:
+  void park(std::coroutine_handle<> h) {
+    if (!first_waiter_) {
+      first_waiter_ = h;
+    } else {
+      more_waiters_.push_back(h);
+    }
+  }
+
   Simulation& sim_;
   std::optional<T> value_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_waiter_;
+  std::vector<std::coroutine_handle<>> more_waiters_;  // parked after first_waiter_
   debug::AwaitableCanary canary_{"OneShot"};
 };
 

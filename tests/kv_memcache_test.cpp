@@ -1,7 +1,9 @@
 // Tests for the Memcached substitute: semantics (get/set/add/replace/del,
-// CAS), memory accounting, LRU eviction, and cluster routing over the ring.
+// CAS), memory accounting, LRU eviction, the hash-carrying item table, and
+// cluster routing over the ring.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
@@ -148,6 +150,17 @@ TEST(MemCacheServer, NoSpaceWhenEvictionDisabled) {
   EXPECT_EQ(server.apply(make(KvRequest::Op::set, "q", "12345678")).status, KvStatus::no_space);
   // The original item is untouched.
   EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k")).status, KvStatus::ok);
+  // An update that fits is applied in place; one that does not is refused
+  // and leaves the old value, with nothing evicted.
+  EXPECT_EQ(server.apply(make(KvRequest::Op::set, "k", "123456789")).status, KvStatus::ok);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::set, "k", "1234567890")).status,
+            KvStatus::no_space);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k")).value, "123456789");
+  EXPECT_EQ(server.bytes_used(), 10u);
+  EXPECT_EQ(server.evictions(), 0u);
+  // A delete makes room again.
+  EXPECT_EQ(server.apply(make(KvRequest::Op::del, "k")).status, KvStatus::ok);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::add, "q", "12345678")).status, KvStatus::ok);
 }
 
 TEST(MemCacheServer, OversizeUpdateOfExistingKeyEvictsOthersNotItself) {
@@ -174,6 +187,141 @@ TEST(MemCacheServer, KeysWithPrefixFindsSubtree) {
   auto keys = server.keys_with_prefix("/ws/");
   std::set<std::string> got(keys.begin(), keys.end());
   EXPECT_EQ(got, (std::set<std::string>{"/ws/a", "/ws/b"}));
+}
+
+KvRequest prehashed(KvRequest::Op op, const std::string& key, std::string value = {}) {
+  KvRequest req = make(op, key, std::move(value));
+  req.key_hash = sim::Rng::hash(key);
+  return req;
+}
+
+TEST(MemCacheServer, UnhashedAndPrehashedRequestsReachSameItem) {
+  Fixture f;
+  MemCacheServer server(f.sim, f.fabric, NodeId{0});
+  server.apply(make(KvRequest::Op::set, "/ws/a", "1"));
+  server.apply(prehashed(KvRequest::Op::set, "/ws/b", "2"));
+  EXPECT_EQ(server.apply(prehashed(KvRequest::Op::get, "/ws/a")).value, "1");
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "/ws/b")).value, "2");
+  EXPECT_EQ(server.apply(prehashed(KvRequest::Op::add, "/ws/a", "x")).status, KvStatus::exists);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::replace, "/ws/b", "3")).status, KvStatus::ok);
+  EXPECT_EQ(server.apply(prehashed(KvRequest::Op::get, "/ws/b")).value, "3");
+  EXPECT_EQ(server.apply(make(KvRequest::Op::del, "/ws/a")).status, KvStatus::ok);
+  EXPECT_EQ(server.apply(prehashed(KvRequest::Op::get, "/ws/a")).status, KvStatus::not_found);
+  EXPECT_EQ(server.item_count(), 1u);
+}
+
+TEST(MemCacheServer, GrowthTo200kItemsKeepsSemanticsAndAccounting) {
+  Fixture f;
+  KvConfig cfg;
+  cfg.lru_eviction = false;
+  MemCacheServer server(f.sim, f.fabric, NodeId{0}, cfg);
+  constexpr int kItems = 200'000;  // well past 65,536: the table rehashes as it grows
+  const auto key = [](int i) {
+    return "/grow/dir" + std::to_string(i % 97) + "/f" + std::to_string(i);
+  };
+  std::map<int, std::uint64_t> versions;
+  std::uint64_t expect_bytes = 0;
+  for (int i = 0; i < kItems; ++i) {
+    const std::string k = key(i);
+    const std::string v = "v" + std::to_string(i);
+    const auto r = server.apply(i % 2 == 0 ? make(KvRequest::Op::add, k, v)
+                                           : prehashed(KvRequest::Op::add, k, v));
+    ASSERT_EQ(r.status, KvStatus::ok) << k;
+    versions[i] = r.cas;
+    expect_bytes += k.size() + v.size() + cfg.item_overhead_bytes;
+  }
+  EXPECT_EQ(server.item_count(), static_cast<std::uint64_t>(kItems));
+  EXPECT_EQ(server.bytes_used(), expect_bytes);
+
+  for (int i = 0; i < kItems; i += 7) {
+    const std::string k = key(i);
+    const auto g = server.apply(make(KvRequest::Op::get, k));
+    ASSERT_EQ(g.status, KvStatus::ok) << k;
+    EXPECT_EQ(g.value, "v" + std::to_string(i));
+    EXPECT_EQ(g.cas, versions[i]);
+    EXPECT_EQ(server.apply(make(KvRequest::Op::add, k, "dup")).status, KvStatus::exists);
+  }
+  // CAS: a stale version is refused, the current one swaps in a longer value.
+  for (int i = 1; i < kItems; i += 5) {
+    const std::string k = key(i);
+    EXPECT_EQ(server.apply(make(KvRequest::Op::cas, k, "stale", versions[i] + 1'000'000)).status,
+              KvStatus::cas_mismatch);
+    const std::string nv = "cas-" + std::to_string(i);
+    ASSERT_EQ(server.apply(make(KvRequest::Op::cas, k, nv, versions[i])).status, KvStatus::ok);
+    expect_bytes += nv.size() - ("v" + std::to_string(i)).size();
+  }
+  EXPECT_EQ(server.bytes_used(), expect_bytes);
+  // Delete every third item; the rest stay reachable.
+  std::uint64_t deleted = 0;
+  for (int i = 0; i < kItems; i += 3) {
+    const std::string k = key(i);
+    const std::string v = i % 5 == 1 ? "cas-" + std::to_string(i) : "v" + std::to_string(i);
+    ASSERT_EQ(server.apply(prehashed(KvRequest::Op::del, k)).status, KvStatus::ok) << k;
+    expect_bytes -= k.size() + v.size() + cfg.item_overhead_bytes;
+    ++deleted;
+  }
+  EXPECT_EQ(server.item_count(), kItems - deleted);
+  EXPECT_EQ(server.bytes_used(), expect_bytes);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(3))).status, KvStatus::not_found);
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(4))).value, "v4");
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, key(11))).value, "cas-11");
+  std::size_t in_dir5 = 0;
+  for (int i = 5; i < kItems; i += 97) in_dir5 += i % 3 != 0 ? 1 : 0;
+  EXPECT_EQ(server.keys_with_prefix("/grow/dir5/").size(), in_dir5);
+}
+
+TEST(MemCacheServer, FlushLeavesReusableEmptyServer) {
+  for (const bool lru : {true, false}) {
+    Fixture f;
+    KvConfig cfg;
+    cfg.item_overhead_bytes = 0;
+    cfg.capacity_bytes = 30;
+    cfg.lru_eviction = lru;
+    MemCacheServer server(f.sim, f.fabric, NodeId{0}, cfg);
+    server.apply(make(KvRequest::Op::set, "k1", "12345678"));
+    server.apply(make(KvRequest::Op::set, "k2", "12345678"));
+    server.flush();
+    EXPECT_EQ(server.item_count(), 0u);
+    EXPECT_EQ(server.bytes_used(), 0u);
+    EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k1")).status, KvStatus::not_found);
+    EXPECT_TRUE(server.keys_with_prefix("k").empty());
+    // Refill to capacity; with eviction on, one more store evicts the
+    // coldest post-flush item (the recency list restarted empty).
+    for (const char* k : {"k3", "k1", "k4"}) {
+      EXPECT_EQ(server.apply(make(KvRequest::Op::add, k, "12345678")).status, KvStatus::ok);
+    }
+    EXPECT_EQ(server.bytes_used(), 30u);
+    EXPECT_EQ(server.apply(make(KvRequest::Op::set, "k5", "12345678")).status,
+              lru ? KvStatus::ok : KvStatus::no_space);
+    EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k3")).status,
+              lru ? KvStatus::not_found : KvStatus::ok);
+    EXPECT_EQ(server.evictions(), lru ? 1u : 0u);
+  }
+}
+
+TEST(MemCacheServer, GetAndUpdateRefreshRecency) {
+  Fixture f;
+  KvConfig cfg;
+  cfg.item_overhead_bytes = 0;
+  cfg.capacity_bytes = 30;  // three 10-byte items
+  MemCacheServer server(f.sim, f.fabric, NodeId{0}, cfg);
+  for (const char* k : {"k1", "k2", "k3"}) server.apply(make(KvRequest::Op::set, k, "12345678"));
+  // Recency, newest first: k3 k2 k1. A get of k1 makes k2 the next victim.
+  server.apply(prehashed(KvRequest::Op::get, "k1"));
+  server.apply(make(KvRequest::Op::set, "k4", "12345678"));  // evicts k2 -> k4 k1 k3
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k2")).status, KvStatus::not_found);
+  // A same-size update of k3 refreshes it too: k1 is now the coldest.
+  server.apply(make(KvRequest::Op::set, "k3", "abcdefgh"));  // k3 k4 k1
+  server.apply(make(KvRequest::Op::set, "k5", "12345678"));  // evicts k1 -> k5 k3 k4
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k1")).status, KvStatus::not_found);
+  server.apply(make(KvRequest::Op::get, "k4"));              // k4 k5 k3
+  server.apply(make(KvRequest::Op::set, "k6", "12345678"));  // evicts k3
+  EXPECT_EQ(server.apply(make(KvRequest::Op::get, "k3")).status, KvStatus::not_found);
+  for (const char* k : {"k4", "k5", "k6"}) {
+    EXPECT_EQ(server.apply(make(KvRequest::Op::get, k)).status, KvStatus::ok) << k;
+  }
+  EXPECT_EQ(server.evictions(), 3u);
+  EXPECT_EQ(server.bytes_used(), 30u);
 }
 
 TEST(MemCacheServer, RpcPathChargesWireAndServiceTime) {
@@ -262,6 +410,31 @@ TEST(MemCacheCluster, RoutesByKeyAndServesAllOps) {
     if (cluster.server_on(NodeId{n}).item_count() > 0) ++populated;
   }
   EXPECT_GT(populated, 1);
+}
+
+TEST(MemCacheCluster, UnhashedAndPrehashedCallsReachSameItem) {
+  Fixture f;
+  MemCacheCluster cluster(f.sim, f.fabric);
+  for (std::uint32_t n = 0; n < 4; ++n) cluster.add_server(NodeId{n});
+  sim::run_task(f.sim, [](MemCacheCluster& c) -> Task<> {
+    for (int i = 0; i < 32; ++i) {
+      const std::string key = "/pre/file" + std::to_string(i);
+      const std::uint64_t h = sim::Rng::hash(key);
+      // Store with one form, read and delete with the other.
+      const auto r = co_await c.set(NodeId{0}, key, "d", 0, i % 2 == 0 ? 0 : h);
+      EXPECT_EQ(r.status, KvStatus::ok);
+      const auto g = co_await c.get(NodeId{1}, key, i % 2 == 0 ? h : 0);
+      EXPECT_EQ(g.status, KvStatus::ok);
+      EXPECT_EQ(g.cas, r.cas);
+      if (i % 4 == 0) {
+        const auto d = co_await c.del(NodeId{2}, key, i % 8 == 0 ? h : 0);
+        EXPECT_EQ(d.status, KvStatus::ok);
+        const auto miss = co_await c.get(NodeId{3}, key);
+        EXPECT_EQ(miss.status, KvStatus::not_found);
+      }
+    }
+  }(cluster));
+  EXPECT_EQ(cluster.total_items(), 24u);
 }
 
 TEST(MemCacheCluster, CasRetryLoopConvergesUnderContention) {

@@ -1,8 +1,11 @@
 // Tests for awaitable synchronization primitives.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "debug/coro_check.h"
 #include "sim/combinators.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -33,6 +36,69 @@ TEST(OneShot, WaitersWakeOnSet) {
   }(sim, slot));
   sim.run();
   EXPECT_EQ(seen, (std::vector<int>{7, 7, 7}));
+}
+
+TEST(OneShot, WaitersResumeInParkOrder) {
+  Simulation sim;
+  OneShot<int> slot(sim);
+  std::vector<int> order;
+  // Waiter 0 takes the inline slot; 1..4 overflow. The last two park later
+  // in virtual time, after the overflow vector already holds entries.
+  for (int i = 0; i < 5; ++i) {
+    sim.spawn([](Simulation& s, OneShot<int>& sl, std::vector<int>& out, int id) -> Task<> {
+      co_await s.delay(static_cast<SimDuration>(id < 3 ? 0 : id) * 1_us);
+      (void)co_await sl.get();
+      out.push_back(id);
+    }(sim, slot, order, i));
+  }
+  sim.spawn([](Simulation& s, OneShot<int>& sl) -> Task<> {
+    co_await s.delay(10_us);
+    sl.set(1);
+  }(sim, slot));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(OneShot, TakeMovesValueToSingleConsumer) {
+  Simulation sim;
+  OneShot<std::unique_ptr<std::string>> slot(sim);
+  std::unique_ptr<std::string> got;
+  sim.spawn([](OneShot<std::unique_ptr<std::string>>& sl,
+               std::unique_ptr<std::string>& out) -> Task<> {
+    out = co_await sl.take();
+  }(slot, got));
+  sim.run();  // the consumer parks in the inline slot
+  EXPECT_EQ(got, nullptr);
+  slot.set(std::make_unique<std::string>("payload"));
+  sim.run();
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(*got, "payload");
+}
+
+TEST(OneShot, DestroyedWithParkedWaitersReportsEach) {
+  if (!debug::coro_checking_enabled()) {
+    GTEST_SKIP() << "detector compiled out (build with -DPACON_DEBUG_COROS=ON)";
+  }
+  std::vector<debug::CoroReport> reports;
+  debug::set_coro_report_handler([&](const debug::CoroReport& r) { reports.push_back(r); });
+  struct RestoreHandler {
+    ~RestoreHandler() { debug::set_coro_report_handler(nullptr); }
+  } restore;
+  {
+    Simulation sim;
+    auto slot = std::make_unique<OneShot<int>>(sim);
+    for (int i = 0; i < 2; ++i) {
+      sim.spawn([](OneShot<int>& sl) -> Task<> { (void)co_await sl.get(); }(*slot));
+    }
+    sim.run();     // one waiter inline, one in the overflow vector
+    slot.reset();  // the slot dies under both live waiters
+    ASSERT_EQ(reports.size(), 2u);
+    for (const auto& r : reports) {
+      EXPECT_EQ(r.kind, debug::CoroViolation::primitive_destroyed_with_waiters);
+      EXPECT_NE(r.detail.find("OneShot"), std::string::npos);
+    }
+    EXPECT_NE(reports[0].coro_id, reports[1].coro_id);
+  }  // Simulation teardown reclaims the parked roots
 }
 
 TEST(Gate, OpenReleasesAllWaiters) {
