@@ -52,7 +52,10 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
       redelivered_ctr_(
           sim.metrics().scoped(region_metric_scope(config_.root)).counter("redelivered_ops")),
       degraded_ctr_(
-          sim.metrics().scoped(region_metric_scope(config_.root)).counter("degraded_ops")) {
+          sim.metrics().scoped(region_metric_scope(config_.root)).counter("degraded_ops")),
+      coalesced_ctr_(sim.metrics()
+                         .scoped(region_metric_scope(config_.root))
+                         .counter("parent_checks_coalesced")) {
   if (!config_.root.valid() || config_.nodes.empty()) {
     throw std::invalid_argument("ConsistentRegion: workspace path and nodes are required");
   }
@@ -222,6 +225,51 @@ sim::Task<FsResult<void>> ConsistentRegion::check_parent(net::NodeId from,
                                                          obs::SpanId span) {
   const fs::Path parent = path.parent();
   if (!contains(parent)) co_return FsResult<void>{};  // workspace root's parent
+  NodeState& node = state_for(from);
+  if (const auto it = node.parent_checks.find(fs::SpellingKey{parent});
+      it != node.parent_checks.end() && it->second.epoch == invalidation_epoch_) {
+    // A check of this parent is already in flight from this node and began
+    // after the last removal: its verdict answers this create too.
+    const std::shared_ptr<sim::OneShot<FsError>> verdict = it->second.verdict;
+    coalesced_ctr_.add();
+    obs::Span wait(span != obs::kNoSpan ? sim_.tracer() : nullptr, "parent_check.wait", span,
+                   from.value);
+    const FsError error = co_await verdict->get();
+    wait.finish(to_string(error));
+    if (error == FsError::ok) co_return FsResult<void>{};
+    if (error == FsError::io) co_return fs::fail(error);
+    // A negative verdict may predate a mkdir of the parent that a peer has
+    // already seen in the cache. Probe again: this cache get follows this
+    // check's own start, so it sees every mkdir that finished before it.
+    co_return co_await probe_parent(from, parent, span);
+  }
+  // Leader. A check that started before a removal bumped the epoch may hand
+  // out a stale "exists": replace its entry, so only its own waiters see it.
+  auto verdict = std::make_shared<sim::OneShot<FsError>>(sim_);
+  node.parent_checks.insert_or_assign(parent.str(), ParentCheck{invalidation_epoch_, verdict});
+  const auto settle = [&node, &parent, &verdict](FsError error) {
+    // Erase the entry only while it is still ours: a newer leader may own it.
+    if (const auto it = node.parent_checks.find(fs::SpellingKey{parent});
+        it != node.parent_checks.end() && it->second.verdict == verdict) {
+      node.parent_checks.erase(it);
+    }
+    verdict->set(error);
+  };
+  FsResult<void> result = fs::fail(FsError::io);
+  try {
+    result = co_await probe_parent(from, parent, span);
+  } catch (...) {
+    // Transport failure (e.g. the MDS is down): waiters see FsError::io, the
+    // leader's caller sees the exception, as an uncoalesced check would.
+    settle(FsError::io);
+    throw;
+  }
+  settle(result ? FsError::ok : result.error());
+  co_return result;
+}
+
+sim::Task<FsResult<void>> ConsistentRegion::probe_parent(net::NodeId from, fs::Path parent,
+                                                         obs::SpanId span) {
   auto meta = co_await cache_get(from, parent, span);
   if (meta) {
     if (meta->removed) co_return fs::fail(FsError::not_found);
@@ -921,11 +969,20 @@ sim::Task<FsResult<void>> ConsistentRegion::restore(std::uint64_t id) {
   const fs::Path src = checkpoint_path(id);
   auto exists = co_await io.getattr(src);
   if (!exists) co_return fs::fail(FsError::not_found);
-  // Roll the workspace subtree back to the checkpoint.
+  // Roll the workspace subtree back to the checkpoint. The first removal
+  // makes the cache, parent hints and in-flight parent checks stale, and a
+  // later step may fail or throw: invalidate before starting, so no exit can
+  // skip it, and again once the copy is done.
+  invalidate_workspace_state();
   auto removed = co_await remove_subtree(io, config_.root);
   if (!removed) co_return fs::fail(removed.error());
   auto copied = co_await copy_subtree(io, src, config_.root);
   if (!copied) co_return copied;
+  invalidate_workspace_state();
+  co_return FsResult<void>{};
+}
+
+void ConsistentRegion::invalidate_workspace_state() {
   // Rebuild = drop the (possibly inconsistent) cached state; it reloads
   // lazily from the DFS.
   const std::string prefix = subtree_prefix(config_.root);
@@ -937,7 +994,7 @@ sim::Task<FsResult<void>> ConsistentRegion::restore(std::uint64_t id) {
     }
     server.apply(kv::KvRequest{kv::KvRequest::Op::del, config_.root.str(), {}, 0, 0});
   }
-  co_return FsResult<void>{};
+  ++invalidation_epoch_;
 }
 
 void ConsistentRegion::detach_failed_node(net::NodeId failed) {

@@ -234,8 +234,9 @@ class ConsistentRegion {
   /// Newest checkpoint id, or 0 when none was taken yet.
   std::uint64_t latest_checkpoint() const { return last_checkpoint_id_; }
 
-  /// Bumped whenever anything is removed from the region; clients gate their
-  /// local parent-existence hints on it.
+  /// Bumped whenever anything is removed from the region (remove, rmdir, a
+  /// checkpoint restore); clients gate their local parent-existence hints on
+  /// it, and an in-flight parent check is joined only under its own epoch.
   std::uint64_t invalidation_epoch() const { return invalidation_epoch_; }
 
   /// True while `path` has at least one queued-but-uncommitted operation.
@@ -247,7 +248,23 @@ class ConsistentRegion {
   /// (diagnostics / tests; bounded by in-flight ops, not namespace size).
   std::size_t pending_paths() const { return pending_by_hash_.size(); }
 
+  /// Parent checks currently in flight across all nodes (diagnostics / tests;
+  /// each leader erases its entry when it settles).
+  std::size_t parent_checks_in_flight() const {
+    std::size_t n = 0;
+    for (const auto& node : node_states_) n += node->parent_checks.size();
+    return n;
+  }
+
  private:
+  /// One in-flight parent check: the invalidation epoch it started under and
+  /// the verdict its waiters park on (FsError::ok when the parent exists).
+  /// Waiters hold the verdict by shared_ptr, so it outlives the table entry.
+  struct ParentCheck {
+    std::uint64_t epoch = 0;
+    std::shared_ptr<sim::OneShot<fs::FsError>> verdict;
+  };
+
   struct NodeState {
     net::NodeId node;
     /// Commit-queue topic name and its pre-resolved bus handle: both are
@@ -282,14 +299,29 @@ class ConsistentRegion {
     /// Channels closed by a crash are parked here, not destructed: loops may
     /// still be suspended in their wait queues until the close wakes them.
     std::vector<std::unique_ptr<sim::Channel<OpMessage>>> dead_channels;
+    /// Parent-existence checks in flight from this node's clients, keyed by
+    /// the parent's exact path (a hash collision would hand one directory's
+    /// verdict to another). A later check of the same parent waits for the
+    /// leader's verdict instead of repeating its cache get and DFS getattr.
+    std::unordered_map<std::string, ParentCheck, fs::SpellingHash, fs::SpellingEq>
+        parent_checks;
   };
 
   /// Permission check dispatch: batch (local) or hierarchical (ablation).
   sim::Task<fs::FsResult<void>> check_permission(net::NodeId from, const fs::Path& path,
                                                  fs::Access access,
                                                  obs::SpanId span = obs::kNoSpan);
+  /// Parent-existence check for a create of `path`, coalesced per node: the
+  /// first check of a parent (the leader) runs probe_parent, and checks of
+  /// the same parent that arrive while it is in flight under the same
+  /// invalidation epoch wait for its verdict. A waiter handed a negative
+  /// verdict other than io runs its own probe_parent.
   sim::Task<fs::FsResult<void>> check_parent(net::NodeId from, const fs::Path& path,
                                              obs::SpanId span = obs::kNoSpan);
+  /// The uncoalesced check: cache get of `parent`, then on a miss a DFS
+  /// getattr that loads the parent into the cache.
+  sim::Task<fs::FsResult<void>> probe_parent(net::NodeId from, fs::Path parent,
+                                             obs::SpanId span);
 
   /// Inserts a new entry and publishes its commit message.
   sim::Task<fs::FsResult<void>> create_common(net::NodeId from, std::uint32_t client,
@@ -357,6 +389,9 @@ class ConsistentRegion {
   sim::Task<fs::FsResult<void>> copy_subtree(dfs::DfsClient& io, const fs::Path& from,
                                              const fs::Path& to);
   sim::Task<fs::FsResult<void>> remove_subtree(dfs::DfsClient& io, const fs::Path& target);
+  /// Drops the workspace's cached entries on every live cache server and
+  /// bumps invalidation_epoch_ (restore: the DFS subtree is being replaced).
+  void invalidate_workspace_state();
 
   std::string node_topic(net::NodeId node) const;
 
@@ -423,6 +458,7 @@ class ConsistentRegion {
   sim::Counter& retries_ctr_;
   sim::Counter& redelivered_ctr_;
   sim::Counter& degraded_ctr_;
+  sim::Counter& coalesced_ctr_;     // parent_checks_coalesced: checks that waited on a leader
 };
 
 }  // namespace pacon::core

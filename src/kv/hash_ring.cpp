@@ -29,14 +29,23 @@ std::uint64_t HashRing::point(net::NodeId node, std::uint32_t replica) {
 void HashRing::add_node(net::NodeId node) {
   if (std::find(nodes_.begin(), nodes_.end(), node) != nodes_.end()) return;
   nodes_.push_back(node);
-  for (std::uint32_t r = 0; r < vnodes_; ++r) {
-    const std::uint64_t p = point(node, r);
-    auto it = std::lower_bound(ring_.begin(), ring_.end(), p, point_less);
-    // Keep the first owner on a (vanishingly unlikely) point collision --
-    // same tie-break the former std::map::emplace applied.
-    if (it != ring_.end() && it->first == p) continue;
-    ring_.insert(it, {p, node});
+  std::vector<std::pair<std::uint64_t, net::NodeId>> fresh;
+  fresh.reserve(vnodes_);
+  for (std::uint32_t r = 0; r < vnodes_; ++r) fresh.emplace_back(point(node, r), node);
+  std::sort(fresh.begin(), fresh.end());
+  // One merge pass instead of a sorted insert per point. On a (vanishingly
+  // unlikely) point collision the ring's existing owner keeps the point.
+  std::vector<std::pair<std::uint64_t, net::NodeId>> merged;
+  merged.reserve(ring_.size() + fresh.size());
+  auto old_it = ring_.begin();
+  for (const auto& entry : fresh) {
+    while (old_it != ring_.end() && old_it->first < entry.first) merged.push_back(*old_it++);
+    if (old_it != ring_.end() && old_it->first == entry.first) continue;
+    if (!merged.empty() && merged.back().first == entry.first) continue;
+    merged.push_back(entry);
   }
+  merged.insert(merged.end(), old_it, ring_.end());
+  ring_ = std::move(merged);
 }
 
 void HashRing::remove_node(net::NodeId node) {

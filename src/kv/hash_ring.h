@@ -6,7 +6,8 @@
 // ~1/N of the keyspace.
 //
 // The ring itself is a sorted flat vector: lookups are a cache-friendly
-// binary search (membership changes are rare and pay the insertion cost).
+// binary search (membership changes are rare; adding a node merges its
+// sorted points into the ring in one pass).
 // Callers that already know a key's hash -- fs::Path caches it -- use
 // node_for_hash() and skip rehashing the key entirely.
 #pragma once

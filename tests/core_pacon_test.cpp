@@ -1,6 +1,6 @@
 // Tests for the Pacon client facade and consistent-region semantics:
 // create/stat/remove flows, cache-vs-DFS consistency, small-file inlining,
-// region routing, merge, and recovery.
+// region routing, merge, recovery, and per-node parent-check coalescing.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,7 +8,10 @@
 #include <vector>
 
 #include "core/pacon.h"
+#include "debug/coro_check.h"
+#include "obs/trace.h"
 #include "sim/combinators.h"
+#include "sim/fault.h"
 #include "sim/simulation.h"
 
 namespace pacon::core {
@@ -45,12 +48,24 @@ struct World {
     }(admin, Path::parse(path)));
   }
 
+  /// Delays every request arriving at the MDS by `delay`, holding DFS
+  /// round trips open long enough to interleave other ops with them.
+  void slow_mds(sim::SimDuration delay) {
+    faults = std::make_unique<sim::LinkFaultMatrix>(sim.rng().fork("link-faults"));
+    fabric.set_fault_matrix(faults.get());
+    faults->set_node_ingress(dfs.config().mds_node.value,
+                             sim::MessageFaultConfig{.delay_prob = 1.0,
+                                                     .delay_min = delay,
+                                                     .delay_max = delay});
+  }
+
   Simulation sim;
   net::Fabric fabric;
   dfs::DfsCluster dfs;
   RegionRegistry registry;
   PaconRuntime rt;
   std::vector<net::NodeId> nodes;
+  std::unique_ptr<sim::LinkFaultMatrix> faults;
 };
 
 TEST(Pacon, CreateIsVisibleToRegionPeersImmediately) {
@@ -417,6 +432,279 @@ TEST(Pacon, EvictionKeepsWorkingSetUsable) {
       EXPECT_TRUE(got.has_value()) << made[i];
     }
   }(*tight, created));
+}
+
+// ---- Parent-check coalescing ------------------------------------------------
+
+/// One client per entry of `on`, each on that node (one Pacon per client,
+/// as in the benchmarks).
+std::vector<std::unique_ptr<Pacon>> clients_on(World& w, const std::vector<std::uint32_t>& on) {
+  std::vector<std::unique_ptr<Pacon>> clients;
+  for (const std::uint32_t node : on) clients.push_back(w.make_client(node, "/app"));
+  return clients;
+}
+
+// lint-allow: coro-param-ref every caller's Pacon is a named client that outlives the run_task
+Task<FsError> create_status(Pacon& p, Path path) {
+  auto r = co_await p.create(path, fs::FileMode::file_default());
+  co_return r ? FsError::ok : r.error();
+}
+
+/// Client i creates `dir`/f<i>; all start at the same instant.
+std::vector<FsError> create_concurrently(World& w, std::vector<std::unique_ptr<Pacon>>& clients,
+                                         const std::string& dir) {
+  std::vector<Task<FsError>> ops;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    ops.push_back(create_status(*clients[i], Path::parse(dir + "/f" + std::to_string(i))));
+  }
+  return sim::run_task(w.sim, sim::when_all_values(w.sim, std::move(ops)));
+}
+
+std::uint64_t coalesced_checks(World& w) {
+  return w.sim.metrics().counter("region._app.parent_checks_coalesced").value();
+}
+
+TEST(Pacon, ConcurrentParentChecksOnOneNodeSendOneGetattr) {
+  World w;
+  w.seed_workspace("/app");
+  auto clients = clients_on(w, std::vector<std::uint32_t>(20, 0));
+  const std::uint64_t before = w.dfs.mds().ops_served();
+  const std::vector<FsError> results = create_concurrently(w, clients, "/app");
+  // Read before any of the creates' asynchronous commits reach the MDS: the
+  // one request so far is the leader's getattr of the cold workspace root.
+  EXPECT_EQ(w.dfs.mds().ops_served() - before, 1u);
+  for (const FsError e : results) EXPECT_EQ(e, FsError::ok);
+  EXPECT_EQ(coalesced_checks(w), 19u);
+  EXPECT_EQ(clients[0]->region().parent_checks_in_flight(), 0u);
+  sim::run_task(w.sim, clients[0]->drain());
+  dfs::DfsClient probe(w.sim, w.dfs, net::NodeId{90'001});
+  sim::run_task(w.sim, [](dfs::DfsClient& io) -> Task<> {
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_TRUE((co_await io.getattr(Path::parse("/app/f" + std::to_string(i)))).has_value());
+    }
+  }(probe));
+}
+
+TEST(Pacon, ParentChecksCoalescePerNodeNotAcrossNodes) {
+  World w;
+  w.seed_workspace("/app");
+  std::vector<std::uint32_t> on(10, 0);
+  on.insert(on.end(), 10, 1);
+  auto clients = clients_on(w, on);
+  const std::uint64_t before = w.dfs.mds().ops_served();
+  const std::vector<FsError> results = create_concurrently(w, clients, "/app");
+  EXPECT_EQ(w.dfs.mds().ops_served() - before, 2u);  // one leader per node
+  for (const FsError e : results) EXPECT_EQ(e, FsError::ok);
+  EXPECT_EQ(coalesced_checks(w), 18u);
+}
+
+TEST(Pacon, OrphanCreateFailsForTheLeaderAndEveryWaiter) {
+  World w;
+  w.seed_workspace("/app");
+  auto clients = clients_on(w, std::vector<std::uint32_t>(5, 0));
+  for (const FsError e : create_concurrently(w, clients, "/app/nodir")) {
+    EXPECT_EQ(e, FsError::not_found);
+  }
+  EXPECT_EQ(coalesced_checks(w), 4u);
+  EXPECT_EQ(clients[0]->region().parent_checks_in_flight(), 0u);
+}
+
+/// Client `late` (node 0) creates /app/d/f2 while client `early` (node 0)
+/// has a getattr of the uncached /app/d in flight at a slowed MDS. With
+/// `remove_between`, client `other` (node 1) removes a file in between, so
+/// the late check starts under a newer invalidation epoch.
+struct LateCheck {
+  std::uint64_t coalesced = 0;  // checks that waited on a leader
+  std::size_t dfs_getattrs = 0;  // DFS getattrs the two creates sent
+};
+
+LateCheck late_parent_check(bool remove_between) {
+  World w;
+  w.seed_workspace("/app");
+  w.seed_workspace("/app/d");
+  auto early = w.make_client(0, "/app");
+  auto late = w.make_client(0, "/app");
+  auto other = w.make_client(1, "/app");
+  sim::run_task(w.sim, [](Pacon& p) -> Task<> {
+    EXPECT_TRUE((co_await p.create(Path::parse("/app/x"), fs::FileMode::file_default()))
+                    .has_value());
+    co_await p.drain();
+  }(*other));
+  const std::uint64_t before = coalesced_checks(w);
+  w.slow_mds(1_ms);
+  obs::Tracer tracer(w.sim);
+  w.sim.set_tracer(&tracer);
+  sim::run_task(w.sim, [](World& world, Pacon& a, Pacon& b, Pacon& o, bool remove) -> Task<> {
+    std::vector<Task<FsError>> ops;
+    ops.push_back(create_status(a, Path::parse("/app/d/f1")));
+    ops.push_back([](World& wd, Pacon& late_client, Pacon& remover, bool rm) -> Task<FsError> {
+      if (rm) {
+        EXPECT_TRUE((co_await remover.remove(Path::parse("/app/x"))).has_value());
+      } else {
+        co_await wd.sim.delay(50_us);
+      }
+      co_return co_await create_status(late_client, Path::parse("/app/d/f2"));
+    }(world, b, o, remove));
+    for (const FsError e : co_await sim::when_all_values(world.sim, std::move(ops))) {
+      EXPECT_EQ(e, FsError::ok);
+    }
+  }(w, *early, *late, *other, remove_between));
+  w.sim.set_tracer(nullptr);
+  LateCheck out;
+  out.coalesced = coalesced_checks(w) - before;
+  for (const obs::SpanRecord& span : tracer.spans()) {
+    if (span.name == "dfs.getattr") ++out.dfs_getattrs;
+  }
+  return out;
+}
+
+TEST(Pacon, ParentCheckJoinsAnInFlightCheckOfTheSameParent) {
+  const LateCheck got = late_parent_check(/*remove_between=*/false);
+  EXPECT_EQ(got.coalesced, 1u);
+  EXPECT_EQ(got.dfs_getattrs, 1u);
+}
+
+TEST(Pacon, ParentCheckAfterARemovalRunsItsOwnGetattr) {
+  // The in-flight check began before the removal bumped the invalidation
+  // epoch; joining it could hand out an "exists" the removal made stale.
+  const LateCheck got = late_parent_check(/*remove_between=*/true);
+  EXPECT_EQ(got.coalesced, 0u);
+  EXPECT_EQ(got.dfs_getattrs, 2u);
+}
+
+TEST(Pacon, WaiterJoiningWhileAMkdirReplyIsInFlightSeesTheDirectory) {
+  World w;
+  w.seed_workspace("/app");
+  // The early and late creates run on the node that owns /app/d's cache
+  // entry, the mkdir on the other one, so the mkdir's cache add is applied
+  // well before its reply gets back to the maker.
+  auto probe = w.make_client(0, "/app");
+  const std::uint32_t owner = probe->region().cache().ring().node_for("/app/d").value;
+  const std::uint32_t other = 1 - owner;
+  auto early = w.make_client(owner, "/app");
+  auto late = w.make_client(owner, "/app");
+  auto maker = w.make_client(other, "/app");
+  // Warm /app into the cache, the maker's parent hints and the early node's
+  // DFS client, so the mkdir never touches the MDS and the early check of
+  // /app/d costs one MDS request.
+  sim::run_task(w.sim, [](Pacon& e, Pacon& m) -> Task<> {
+    (void)co_await e.create(Path::parse("/app/warm"), fs::FileMode::file_default());
+    (void)co_await m.create(Path::parse("/app/warm2"), fs::FileMode::file_default());
+    co_await e.drain();
+  }(*early, *maker));
+  w.slow_mds(1_ms);
+  w.faults->set_node_ingress(other, sim::MessageFaultConfig{.delay_prob = 1.0,
+                                                            .delay_min = 1_ms,
+                                                            .delay_max = 1_ms});
+  sim::run_task(w.sim, [](World& world, Pacon& e, Pacon& l, Pacon& m,
+                          std::uint32_t on) -> Task<> {
+    std::vector<Task<FsError>> ops;
+    // The early check misses /app/d in the cache and waits on the MDS.
+    ops.push_back(create_status(e, Path::parse("/app/d/f1")));
+    ops.push_back([](World& wd, Pacon& mk) -> Task<FsError> {
+      co_await wd.sim.delay(50_us);
+      auto made = co_await mk.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default());
+      co_return made ? FsError::ok : made.error();
+    }(world, m));
+    // A peer reads /app/d from the cache as soon as the mkdir's add lands,
+    // then the late create starts: the mkdir's reply is still in flight, and
+    // the late check joins the early one.
+    ops.push_back([](World& wd, Pacon& peer, Pacon& late_client,
+                     std::uint32_t node) -> Task<FsError> {
+      const auto mkdir_reply_due = wd.sim.now() + 50_us + 1_ms;
+      while ((co_await peer.region().cache().get(net::NodeId{node}, "/app/d")).status !=
+             kv::KvStatus::ok) {
+        co_await wd.sim.delay(2_us);
+      }
+      EXPECT_TRUE(wd.sim.now() < mkdir_reply_due);
+      co_return co_await create_status(late_client, Path::parse("/app/d/f2"));
+    }(world, e, l, on));
+    const std::vector<FsError> results = co_await sim::when_all_values(world.sim, std::move(ops));
+    EXPECT_EQ(results[0], FsError::not_found);  // began before the mkdir
+    EXPECT_EQ(results[1], FsError::ok);
+    EXPECT_EQ(results[2], FsError::ok);
+  }(w, *early, *late, *maker, owner));
+  EXPECT_EQ(coalesced_checks(w), 1u);
+  EXPECT_EQ(early->region().parent_checks_in_flight(), 0u);
+}
+
+TEST(Pacon, RestoreInvalidatesParentHints) {
+  World w;
+  w.seed_workspace("/app");
+  auto c = w.make_client(0, "/app");
+  sim::run_task(w.sim, [](Pacon& p) -> Task<> {
+    auto ckpt = co_await p.checkpoint();
+    EXPECT_TRUE(ckpt.has_value());
+    if (!ckpt) co_return;
+    // The mkdir leaves a parent hint for /app/d; the rollback removes /app/d.
+    EXPECT_TRUE((co_await p.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default()))
+                    .has_value());
+    co_await p.drain();
+    EXPECT_TRUE((co_await p.restore(*ckpt)).has_value());
+    auto orphan = co_await p.create(Path::parse("/app/d/f"), fs::FileMode::file_default());
+    EXPECT_EQ(orphan.error(), FsError::not_found);
+  }(*c));
+}
+
+TEST(Pacon, RestoreThatFailsMidCopyStillInvalidatesParentHints) {
+  World w;
+  w.seed_workspace("/app");
+  auto c = w.make_client(0, "/app");
+  const auto ckpt = sim::run_task(w.sim, [](Pacon& p) -> Task<fs::FsResult<std::uint64_t>> {
+    auto id = co_await p.checkpoint();
+    EXPECT_TRUE((co_await p.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default()))
+                    .has_value());
+    co_await p.drain();
+    co_return id;
+  }(*c));
+  ASSERT_TRUE(ckpt.has_value());
+  // Another user adds to the checkpoint a directory the region's credentials
+  // cannot search: the rollback removes /app/d, then its copy fails there.
+  dfs::DfsClient stranger(w.sim, w.dfs, net::NodeId{90'002},
+                          dfs::DfsClientConfig{.creds = fs::Credentials{9, 9}});
+  sim::run_task(w.sim, [](dfs::DfsClient& io) -> Task<> {
+    auto saved = co_await io.readdir(Path::parse("/.pacon"));
+    EXPECT_TRUE(saved.has_value() && saved->size() == 1);
+    if (!saved || saved->empty()) co_return;
+    const Path locked = Path::parse("/.pacon").child(saved->front().name).child("locked");
+    EXPECT_TRUE((co_await io.mkdir(locked, fs::FileMode{0x7, 0x0, 0x0})).has_value());
+    EXPECT_TRUE((co_await io.create(locked.child("f"), fs::FileMode::file_default()))
+                    .has_value());
+  }(stranger));
+  sim::run_task(w.sim, [](Pacon& p, std::uint64_t id) -> Task<> {
+    EXPECT_EQ((co_await p.restore(id)).error(), FsError::permission);
+    EXPECT_FALSE((co_await p.getattr(Path::parse("/app/d"))).has_value());
+    auto orphan = co_await p.create(Path::parse("/app/d/f"), fs::FileMode::file_default());
+    EXPECT_EQ(orphan.error(), FsError::not_found);
+  }(*c, *ckpt));
+}
+
+TEST(Pacon, TeardownWithParkedParentCheckWaitersReportsNothing) {
+  if (!debug::coro_checking_enabled()) {
+    GTEST_SKIP() << "coroutine-lifetime detector not compiled in (PACON_DEBUG_COROS=OFF)";
+  }
+  std::vector<debug::CoroReport> reports;
+  debug::set_coro_report_handler([&reports](const debug::CoroReport& r) { reports.push_back(r); });
+  {
+    World w;
+    w.seed_workspace("/app");
+    w.slow_mds(1_ms);
+    auto clients = clients_on(w, std::vector<std::uint32_t>(5, 0));
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      w.sim.spawn([](Pacon& p, Path path) -> Task<> {
+        (void)co_await p.create(path, fs::FileMode::file_default());
+      }(*clients[i], Path::parse("/app/f" + std::to_string(i))));
+    }
+    w.sim.run_for(100_us);
+    // The leader's getattr is still on its way to the MDS; four waiters are
+    // parked on its verdict when everything is torn down.
+    EXPECT_EQ(clients[0]->region().parent_checks_in_flight(), 1u);
+    EXPECT_EQ(coalesced_checks(w), 4u);
+  }
+  debug::set_coro_report_handler(nullptr);
+  for (const debug::CoroReport& r : reports) {
+    ADD_FAILURE() << debug::to_string(r.kind) << " [" << r.tag << "]: " << r.detail;
+  }
 }
 
 }  // namespace

@@ -185,6 +185,34 @@ TEST(Failure, CommitRetriesSurviveTransientMdsOutage) {
   EXPECT_GT(c->region().commit_retries(), 0u);
 }
 
+TEST(Failure, MdsOutageFailsEveryCoalescedParentCheckWithIo) {
+  World w;
+  std::vector<std::unique_ptr<Pacon>> clients;
+  for (int i = 0; i < 5; ++i) clients.push_back(w.make_client(0));
+  const auto create_all = [&w, &clients](const std::string& stem) {
+    std::vector<Task<FsError>> ops;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      ops.push_back([](Pacon& p, Path path) -> Task<FsError> {
+        auto r = co_await p.create(path, fs::FileMode::file_default());
+        co_return r ? FsError::ok : r.error();
+      }(*clients[i], Path::parse(stem + std::to_string(i))));
+    }
+    return sim::run_task(w.sim, sim::when_all_values(w.sim, std::move(ops)));
+  };
+  // Every client's first create checks the uncached workspace root at once:
+  // one leader getattr, four waiters. The leader's getattr fails in
+  // transport; guard_faults turns its exception into io, and every waiter
+  // gets io from the shared verdict.
+  w.fabric.set_node_down(w.dfs.config().mds_node, true);
+  for (const FsError e : create_all("/app/down")) EXPECT_EQ(e, FsError::io);
+  EXPECT_EQ(w.sim.metrics().counter("region._app.parent_checks_coalesced").value(), 4u);
+  EXPECT_EQ(clients[0]->region().parent_checks_in_flight(), 0u);
+  w.fabric.set_node_down(w.dfs.config().mds_node, false);
+  for (const FsError e : create_all("/app/up")) EXPECT_EQ(e, FsError::ok);
+  EXPECT_EQ(clients[0]->region().parent_checks_in_flight(), 0u);
+  sim::run_task(w.sim, clients[0]->drain());
+}
+
 TEST(Failure, MultipleCheckpointsSelectable) {
   World w;
   auto c = w.make_client(0);

@@ -1,12 +1,17 @@
 // Tests for the Memcached substitute: semantics (get/set/add/replace/del,
-// CAS), memory accounting, LRU eviction, the hash-carrying item table, and
-// cluster routing over the ring.
+// CAS), memory accounting, LRU eviction, the hash-carrying item table,
+// cluster routing over the ring, and the ring's point placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "kv/hash_ring.h"
 #include "kv/memcache.h"
 #include "sim/combinators.h"
 #include "sim/simulation.h"
@@ -379,6 +384,72 @@ TEST(HashRing, LookupIsStable) {
     const std::string key = "/stable" + std::to_string(i);
     EXPECT_EQ(a.node_for(key), b.node_for(key));
   }
+}
+
+/// Reference ring built the way add_node used to: one sorted insert per
+/// virtual node, the first owner keeping a colliding point. The point mix
+/// is HashRing's (splitmix-style over node << 32 | replica).
+class PerPointRing {
+ public:
+  void add_node(NodeId node, std::uint32_t vnodes = 64) {
+    for (std::uint32_t r = 0; r < vnodes; ++r) {
+      std::uint64_t x = (static_cast<std::uint64_t>(node.value) << 32) | r;
+      x ^= x >> 33;
+      x *= 0xFF51AFD7ED558CCDull;
+      x ^= x >> 33;
+      x *= 0xC4CEB9FE1A85EC53ull;
+      x ^= x >> 33;
+      auto it = std::lower_bound(ring_.begin(), ring_.end(), std::make_pair(x, NodeId{0}),
+                                 [](const auto& a, const auto& b) { return a.first < b.first; });
+      if (it != ring_.end() && it->first == x) continue;
+      ring_.insert(it, {x, node});
+    }
+  }
+  void remove_node(NodeId node) {
+    std::erase_if(ring_, [node](const auto& e) { return e.second == node; });
+  }
+  NodeId node_for_hash(std::uint64_t hash) const {
+    auto it = std::lower_bound(ring_.begin(), ring_.end(), std::make_pair(hash, NodeId{0}),
+                               [](const auto& a, const auto& b) { return a.first < b.first; });
+    if (it == ring_.end()) it = ring_.begin();
+    return it->second;
+  }
+  const std::vector<std::pair<std::uint64_t, NodeId>>& points() const { return ring_; }
+
+ private:
+  std::vector<std::pair<std::uint64_t, NodeId>> ring_;
+};
+
+TEST(HashRing, MergedAddNodeRoutesLikePerPointInsertion) {
+  HashRing ring;
+  PerPointRing reference;
+  // Out-of-order ids, then a removal and a re-add, so merges land between,
+  // before and after existing points.
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t n = 0; n < 64; ++n) ids.push_back((n * 37) % 64);
+  for (const std::uint32_t id : ids) {
+    ring.add_node(NodeId{id});
+    reference.add_node(NodeId{id});
+  }
+  ring.remove_node(NodeId{5});
+  reference.remove_node(NodeId{5});
+  ring.add_node(NodeId{5});
+  reference.add_node(NodeId{5});
+  ring.add_node(NodeId{1000});
+  reference.add_node(NodeId{1000});
+
+  sim::Rng rng(7);
+  for (int i = 0; i < 200'000; ++i) {
+    const std::uint64_t h = rng.next_u64();
+    ASSERT_EQ(ring.node_for_hash(h), reference.node_for_hash(h)) << "hash " << h;
+  }
+  // Exactly on, just past, and at the ends of every point.
+  for (const auto& [point, owner] : reference.points()) {
+    EXPECT_EQ(ring.node_for_hash(point), owner);
+    EXPECT_EQ(ring.node_for_hash(point + 1), reference.node_for_hash(point + 1));
+  }
+  EXPECT_EQ(ring.node_for_hash(0), reference.node_for_hash(0));
+  EXPECT_EQ(ring.node_for_hash(~std::uint64_t{0}), reference.node_for_hash(~std::uint64_t{0}));
 }
 
 TEST(MemCacheCluster, RoutesByKeyAndServesAllOps) {
