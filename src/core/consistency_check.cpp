@@ -27,14 +27,23 @@ sim::Task<ConsistencyReport> check_consistency(ConsistentRegion& region,
   const fs::Path root = region.root();
   const std::string prefix = root.str() + "/";
 
-  // Primary copy: every cached entry under the workspace, across servers.
-  std::map<std::string, CachedMeta> cached;
+  // Primary copy: every cached entry under the workspace, across servers,
+  // with whether a commit for it was queued at snapshot time. That has to be
+  // asked now, not after the walk: a commit that lands after the walk has
+  // listed its directory would otherwise be neither listed nor pending.
+  struct Snapshot {
+    CachedMeta meta;
+    bool pending;
+  };
+  std::map<std::string, Snapshot> cached;
   for (const auto node : region.config().nodes) {
     auto& server = region.cache().server_on(node);
     for (const auto& key : server.keys_with_prefix(prefix)) {
       const auto resp = server.apply(kv::KvRequest{kv::KvRequest::Op::get, key, {}, 0, 0});
       if (resp.status != kv::KvStatus::ok) continue;
-      if (auto meta = decode_meta(resp.value)) cached.emplace(key, *meta);
+      if (auto meta = decode_meta(resp.value)) {
+        cached.emplace(key, Snapshot{*meta, region.has_pending(key)});
+      }
     }
   }
 
@@ -42,14 +51,16 @@ sim::Task<ConsistencyReport> check_consistency(ConsistentRegion& region,
   std::map<std::string, fs::InodeAttr> on_dfs;
   co_await walk_dfs(probe, root, on_dfs);
 
-  for (const auto& [path, meta] : cached) {
+  for (const auto& [path, snap] : cached) {
+    const CachedMeta& meta = snap.meta;
     if (meta.removed) {
       report.marked_removed.push_back(path);
       continue;
     }
+    const bool pending = snap.pending || region.has_pending(path);
     auto it = on_dfs.find(path);
     if (it == on_dfs.end()) {
-      if (region.has_pending(path)) {
+      if (pending) {
         report.in_flight.push_back(path);
       } else {
         report.cache_only.push_back(path);
@@ -57,8 +68,7 @@ sim::Task<ConsistencyReport> check_consistency(ConsistentRegion& region,
       continue;
     }
     const bool type_ok = meta.attr.is_dir() == it->second.is_dir();
-    const bool size_ok = meta.attr.is_dir() || region.has_pending(path) ||
-                         meta.attr.size == it->second.size;
+    const bool size_ok = meta.attr.is_dir() || pending || meta.attr.size == it->second.size;
     if (!type_ok || !size_ok) report.mismatched.push_back(path);
   }
   for (const auto& [path, attr] : on_dfs) {

@@ -111,6 +111,19 @@ ConsistentRegion::NodeState& ConsistentRegion::state_for(net::NodeId node) {
   return **it;
 }
 
+dfs::DfsClient& ConsistentRegion::reader_dfs(net::NodeId node) {
+  for (const auto& state : node_states_) {
+    if (state->node == node) return *state->dfs_client;
+  }
+  std::unique_ptr<dfs::DfsClient>& client = reader_dfs_clients_[node.value];
+  if (!client) {
+    dfs::DfsClientConfig dfs_cfg;
+    dfs_cfg.creds = config_.creds;
+    client = std::make_unique<dfs::DfsClient>(sim_, dfs_, node, dfs_cfg);
+  }
+  return *client;
+}
+
 fs::Path ConsistentRegion::checkpoint_path(std::uint64_t id) const {
   std::string tag = config_.root.str();
   std::replace(tag.begin(), tag.end(), '/', '_');
@@ -208,7 +221,7 @@ sim::Task<FsResult<void>> ConsistentRegion::check_permission(net::NodeId from,
       continue;
     }
     // Not cached: consult the DFS (charges full traversal there).
-    auto attr = co_await state_for(from).dfs_client->getattr(*it, span);
+    auto attr = co_await reader_dfs(from).getattr(*it, span);
     if (!attr) {
       if (leaf) continue;  // leaf may be about to be created
       co_return fs::fail(attr.error());
@@ -408,7 +421,7 @@ sim::Task<FsResult<fs::InodeAttr>> ConsistentRegion::getattr(net::NodeId from,
     co_return meta->attr;
   }
   // Miss: synchronously load from the DFS (Table I: getattr on miss).
-  auto attr = co_await state_for(from).dfs_client->getattr(path, parent);
+  auto attr = co_await reader_dfs(from).getattr(path, parent);
   if (!attr) co_return fs::fail(attr.error());
   CachedMeta loaded;
   loaded.attr = *attr;
@@ -594,7 +607,7 @@ sim::Task<FsResult<std::vector<fs::DirEntry>>> ConsistentRegion::readdir(
     FsResult<std::vector<fs::DirEntry>> entries = fs::fail(FsError::io);
     bool transient = false;
     try {
-      entries = co_await state_for(from).dfs_client->readdir(path, parent);
+      entries = co_await reader_dfs(from).readdir(path, parent);
     } catch (const net::RpcError&) {
       transient = true;
     }
@@ -710,7 +723,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::read(net::NodeId from, cons
     co_return std::min(length, meta->inline_bytes - offset);
   }
   if (meta && meta->removed) co_return fs::fail(FsError::not_found);
-  co_return co_await state_for(from).dfs_client->read(path, offset, length, parent);
+  co_return co_await reader_dfs(from).read(path, offset, length, parent);
 }
 
 sim::Task<FsResult<void>> ConsistentRegion::fsync(net::NodeId from, const fs::Path& path,

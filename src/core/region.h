@@ -372,6 +372,10 @@ class ConsistentRegion {
                                     obs::SpanId span = obs::kNoSpan);
 
   NodeState& state_for(net::NodeId node);
+  /// DFS client for a read issued from `node`: the member node's own, or --
+  /// for a reader that merged this region from another workspace -- one
+  /// made on that node's first read here.
+  dfs::DfsClient& reader_dfs(net::NodeId node);
   fs::Path checkpoint_path(std::uint64_t id) const;
   /// Pending-commit bookkeeping keyed by path hash. Increment stamps the
   /// hash into the message; decrement and the contains probes reuse it, so
@@ -404,6 +408,8 @@ class ConsistentRegion {
   std::unique_ptr<kv::MemCacheCluster> cache_;
   std::unique_ptr<net::PubSubBus<OpMessage>> bus_;
   std::vector<std::unique_ptr<NodeState>> node_states_;
+  /// DFS clients of non-member readers (merged regions), by node id.
+  std::unordered_map<std::uint32_t, std::unique_ptr<dfs::DfsClient>> reader_dfs_clients_;
   // Client ids are dense (next_client_id_++), so the per-client tables are
   // plain vectors indexed by id: no hashing on the publish path, and the
   // barrier broadcast iterates in deterministic id order for free.

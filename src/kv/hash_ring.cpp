@@ -13,17 +13,21 @@ bool point_less(const std::pair<std::uint64_t, net::NodeId>& a, std::uint64_t b)
   return a.first < b;
 }
 
-}  // namespace
-
-std::uint64_t HashRing::point(net::NodeId node, std::uint32_t replica) {
-  // Mix node and replica through splitmix-style avalanche.
-  std::uint64_t x = (static_cast<std::uint64_t>(node.value) << 32) | replica;
+/// MurmurHash3's fmix64 finalizer: every input bit flips each output bit
+/// with probability ~1/2.
+std::uint64_t fmix64(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xFF51AFD7ED558CCDull;
   x ^= x >> 33;
   x *= 0xC4CEB9FE1A85EC53ull;
   x ^= x >> 33;
   return x;
+}
+
+}  // namespace
+
+std::uint64_t HashRing::point(net::NodeId node, std::uint32_t replica) {
+  return fmix64((static_cast<std::uint64_t>(node.value) << 32) | replica);
 }
 
 void HashRing::add_node(net::NodeId node) {
@@ -73,8 +77,12 @@ net::NodeId HashRing::node_for(std::string_view key) const {
 }
 
 net::NodeId HashRing::node_for_hash(std::uint64_t hash) const {
+  return owner_at(fmix64(hash));
+}
+
+net::NodeId HashRing::owner_at(std::uint64_t position) const {
   assert(!ring_.empty());
-  auto it = std::lower_bound(ring_.begin(), ring_.end(), hash, point_less);
+  auto it = std::lower_bound(ring_.begin(), ring_.end(), position, point_less);
   if (it == ring_.end()) it = ring_.begin();  // wrap around
   if (suspects_.empty() || !is_suspect(it->second)) return it->second;
   // Failover: walk clockwise to the first non-suspect owner. Bounded by one

@@ -9,7 +9,10 @@
 // binary search (membership changes are rare; adding a node merges its
 // sorted points into the ring in one pass).
 // Callers that already know a key's hash -- fs::Path caches it -- use
-// node_for_hash() and skip rehashing the key entirely.
+// node_for_hash() and skip rehashing the key entirely. A key's ring position
+// is its FNV-1a hash passed through a 64-bit finalizer: raw FNV-1a values of
+// sibling keys ("/d0", "/d1", ...) differ mostly in their low bits and would
+// all fall on one arc, i.e. on one or two daemons.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +49,14 @@ class HashRing {
   net::NodeId node_for(std::string_view key) const;
 
   /// Owner of a key whose hash (sim::Rng::hash of the key bytes) is already
-  /// known. Must agree with node_for(key) for hash == Rng::hash(key).
-  /// Suspect owners are skipped clockwise; with every node suspect the raw
-  /// owner is returned (callers should check live_node_count() first).
+  /// known. Must agree with node_for(key) for hash == Rng::hash(key): it is
+  /// owner_at() of the mixed hash.
   net::NodeId node_for_hash(std::uint64_t hash) const;
+
+  /// Owner of the ring position `position`: the first point clockwise from
+  /// it. Suspect owners are skipped clockwise; with every node suspect the
+  /// raw owner is returned (callers should check live_node_count() first).
+  net::NodeId owner_at(std::uint64_t position) const;
 
  private:
   static std::uint64_t point(net::NodeId node, std::uint32_t replica);

@@ -7,6 +7,7 @@
 #include "core/consistency_check.h"
 #include "core/pacon.h"
 #include "sim/combinators.h"
+#include "sim/fault.h"
 #include "sim/simulation.h"
 
 namespace pacon::core {
@@ -15,6 +16,7 @@ namespace {
 using fs::Path;
 using sim::Simulation;
 using sim::Task;
+using namespace sim::literals;
 
 struct World {
   World()
@@ -79,6 +81,41 @@ TEST(ConsistencyCheck, InFlightEntriesAreClassifiedBenign) {
     EXPECT_TRUE(after.converged()) << after.summary();
     EXPECT_TRUE(after.in_flight.empty());
   }(w, *p));
+}
+
+TEST(ConsistencyCheck, CommitLandingDuringTheWalkIsInFlight) {
+  World w;
+  auto p = w.make(0);
+  sim::LinkFaultMatrix faults(w.sim.rng().fork("link-faults"));
+  sim::run_task(w.sim, [](World& world, Pacon& pc, sim::LinkFaultMatrix& links) -> Task<> {
+    // A settled subdirectory gives the probe's walk something to do after it
+    // has listed /app.
+    (void)co_await pc.mkdir(Path::parse("/app/a"), fs::FileMode::dir_default());
+    for (int i = 0; i < 8; ++i) {
+      (void)co_await pc.create(Path::parse("/app/a/f" + std::to_string(i)),
+                               fs::FileMode::file_default());
+    }
+    co_await pc.drain();
+    // Commits reach the MDS 10 ms late; every reply to the probe comes back
+    // 2 ms late. The probe lists /app before any create below has committed,
+    // and the first of them commits while the probe still walks /app/a.
+    world.fabric.set_fault_matrix(&links);
+    links.set_link(0, world.dfs.config().mds_node.value,
+                   sim::MessageFaultConfig{.delay_prob = 1.0, .delay_min = 10_ms,
+                                           .delay_max = 10_ms});
+    links.set_node_ingress(world.probe.node().value,
+                           sim::MessageFaultConfig{.delay_prob = 1.0, .delay_min = 2_ms,
+                                                   .delay_max = 2_ms});
+    for (int i = 0; i < 4; ++i) {
+      (void)co_await pc.create(Path::parse("/app/w" + std::to_string(i)),
+                               fs::FileMode::file_default());
+    }
+    auto report = co_await check_consistency(pc.region(), world.probe);
+    EXPECT_FALSE(pc.region().has_pending("/app/w0")) << "w0 should commit during the walk";
+    EXPECT_TRUE(report.cache_only.empty()) << report.summary();
+    EXPECT_EQ(report.in_flight.size(), 4u) << report.summary();
+    world.fabric.set_fault_matrix(nullptr);
+  }(w, *p, faults));
 }
 
 TEST(ConsistencyCheck, MarkedRemovedTrackedUntilCommit) {

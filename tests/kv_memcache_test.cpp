@@ -408,8 +408,8 @@ class PerPointRing {
   void remove_node(NodeId node) {
     std::erase_if(ring_, [node](const auto& e) { return e.second == node; });
   }
-  NodeId node_for_hash(std::uint64_t hash) const {
-    auto it = std::lower_bound(ring_.begin(), ring_.end(), std::make_pair(hash, NodeId{0}),
+  NodeId owner_at(std::uint64_t position) const {
+    auto it = std::lower_bound(ring_.begin(), ring_.end(), std::make_pair(position, NodeId{0}),
                                [](const auto& a, const auto& b) { return a.first < b.first; });
     if (it == ring_.end()) it = ring_.begin();
     return it->second;
@@ -438,18 +438,38 @@ TEST(HashRing, MergedAddNodeRoutesLikePerPointInsertion) {
   ring.add_node(NodeId{1000});
   reference.add_node(NodeId{1000});
 
+  // Ring positions, not key hashes: node_for_hash mixes its argument first,
+  // so only owner_at can probe exact points.
   sim::Rng rng(7);
   for (int i = 0; i < 200'000; ++i) {
     const std::uint64_t h = rng.next_u64();
-    ASSERT_EQ(ring.node_for_hash(h), reference.node_for_hash(h)) << "hash " << h;
+    ASSERT_EQ(ring.owner_at(h), reference.owner_at(h)) << "position " << h;
   }
   // Exactly on, just past, and at the ends of every point.
   for (const auto& [point, owner] : reference.points()) {
-    EXPECT_EQ(ring.node_for_hash(point), owner);
-    EXPECT_EQ(ring.node_for_hash(point + 1), reference.node_for_hash(point + 1));
+    EXPECT_EQ(ring.owner_at(point), owner);
+    EXPECT_EQ(ring.owner_at(point + 1), reference.owner_at(point + 1));
   }
-  EXPECT_EQ(ring.node_for_hash(0), reference.node_for_hash(0));
-  EXPECT_EQ(ring.node_for_hash(~std::uint64_t{0}), reference.node_for_hash(~std::uint64_t{0}));
+  EXPECT_EQ(ring.owner_at(0), reference.owner_at(0));
+  EXPECT_EQ(ring.owner_at(~std::uint64_t{0}), reference.owner_at(~std::uint64_t{0}));
+}
+
+TEST(HashRing, SiblingKeysSpreadAcrossDaemons) {
+  // mega-hotdir's hot directories: keys that differ only in their last
+  // characters. Placed by raw FNV-1a they shared 2 of 64 daemons (54 on one).
+  HashRing ring;
+  for (std::uint32_t n = 0; n < 64; ++n) ring.add_node(NodeId{n});
+  std::map<std::uint32_t, int> keys_per_owner;
+  for (int d = 0; d < 64; ++d) {
+    const std::string key = "/bench/d" + std::to_string(d);
+    const NodeId owner = ring.node_for(key);
+    EXPECT_EQ(owner, ring.node_for_hash(sim::Rng::hash(key)));
+    keys_per_owner[owner.value]++;
+  }
+  EXPECT_GE(keys_per_owner.size(), 32u);
+  for (const auto& [owner, count] : keys_per_owner) {
+    EXPECT_LE(count, 6) << "daemon " << owner;
+  }
 }
 
 TEST(MemCacheCluster, RoutesByKeyAndServesAllOps) {
