@@ -84,9 +84,7 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
     state->topic = node_topic(node);
     state->queue = bus_->subscribe(state->topic, node);
     state->topic_handle = bus_->topic_handle(state->topic);
-    dfs::DfsClientConfig dfs_cfg;
-    dfs_cfg.creds = config_.creds;
-    state->dfs_client = std::make_unique<dfs::DfsClient>(sim_, dfs_, node, dfs_cfg);
+    state->dfs_client = make_dfs_client(node);
     state->ordered = std::make_unique<sim::Channel<OpMessage>>(sim_);
     state->retry_queue = std::make_unique<sim::Channel<OpMessage>>(sim_);
     state->spill_disk = std::make_unique<sim::SimDisk>(sim_, sim::DiskConfig::nvme());
@@ -116,12 +114,23 @@ dfs::DfsClient& ConsistentRegion::reader_dfs(net::NodeId node) {
     if (state->node == node) return *state->dfs_client;
   }
   std::unique_ptr<dfs::DfsClient>& client = reader_dfs_clients_[node.value];
-  if (!client) {
-    dfs::DfsClientConfig dfs_cfg;
-    dfs_cfg.creds = config_.creds;
-    client = std::make_unique<dfs::DfsClient>(sim_, dfs_, node, dfs_cfg);
-  }
+  if (!client) client = make_dfs_client(node);
   return *client;
+}
+
+std::unique_ptr<dfs::DfsClient> ConsistentRegion::make_dfs_client(net::NodeId node) {
+  dfs::DfsClientConfig dfs_cfg;
+  dfs_cfg.creds = config_.creds;
+  // Only this region's committers write the workspace subtree on the DFS, and
+  // drop_dfs_dentries() runs wherever one of its directories goes away, so
+  // directory dentries need no dentry_ttl revalidation here.
+  dfs_cfg.trust_dir_dentries = true;
+  return std::make_unique<dfs::DfsClient>(sim_, dfs_, node, dfs_cfg);
+}
+
+void ConsistentRegion::drop_dfs_dentries() {
+  for (const auto& state : node_states_) state->dfs_client->invalidate_cache();
+  for (const auto& [node, client] : reader_dfs_clients_) client->invalidate_cache();
 }
 
 fs::Path ConsistentRegion::checkpoint_path(std::uint64_t id) const {
@@ -566,6 +575,7 @@ sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, std::uint32_
     }
     if (result) {
       ++invalidation_epoch_;
+      drop_dfs_dentries();
       // Clean the cached subtree (paper: recursive removing cleans the cache).
       const std::string prefix = subtree_prefix(path);
       for (std::size_t s = 0; s < cache_->server_count(); ++s) {
@@ -863,8 +873,11 @@ sim::Task<bool> ConsistentRegion::apply_and_account(NodeState& node, const OpMes
     if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "committed");
     co_return true;
   }
-  if (!node.alive) {
-    // Dead node: the op is lost (restore() repairs); account it out.
+  if (!node.alive || msg.op_id <= restore_fence_) {
+    // Dead node: the op is lost (restore() repairs); account it out. An op
+    // published before a restore belongs to the window the restore rolled
+    // back: committing it would resurrect it on the DFS only, or retry for
+    // ever once its parent directory is gone.
     node.wal->ack(msg.op_id);
     pending_decrement(msg);
     if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "discarded");
@@ -909,6 +922,12 @@ sim::Task<bool> ConsistentRegion::apply_and_account(NodeState& node, const OpMes
              " path=" + msg.path + " node=" + std::to_string(node.node.value);
     });
     co_return true;
+  }
+  if (status == FsError::not_found || status == FsError::not_a_directory) {
+    // Self-heal: a trusted directory dentry on the op's path may be stale (a
+    // workspace directory replaced behind the region's back). Resubmitting
+    // through it would fail forever; the retry walks the path afresh.
+    node.dfs_client->forget(fs::Path::parse(msg.path));
   }
   sim_.trace_note_lazy([&] {
     return "commit-retry op=" + std::to_string(msg.op_id) + " path=" + msg.path;
@@ -982,6 +1001,7 @@ sim::Task<FsResult<void>> ConsistentRegion::restore(std::uint64_t id) {
   const fs::Path src = checkpoint_path(id);
   auto exists = co_await io.getattr(src);
   if (!exists) co_return fs::fail(FsError::not_found);
+  restore_fence_ = next_op_id_;
   // Roll the workspace subtree back to the checkpoint. The first removal
   // makes the cache, parent hints and in-flight parent checks stale, and a
   // later step may fail or throw: invalidate before starting, so no exit can
@@ -1007,6 +1027,7 @@ void ConsistentRegion::invalidate_workspace_state() {
     }
     server.apply(kv::KvRequest{kv::KvRequest::Op::del, config_.root.str(), {}, 0, 0});
   }
+  drop_dfs_dentries();
   ++invalidation_epoch_;
 }
 
@@ -1204,10 +1225,15 @@ sim::Task<FsResult<void>> ConsistentRegion::remove_subtree(dfs::DfsClient& io,
   for (const auto& entry : *entries) {
     const fs::Path child = target.child(entry.name);
     if (entry.type == fs::FileType::directory) {
-      auto sub = co_await remove_subtree(io, child);
-      if (!sub) co_return sub;
-      auto rm = co_await io.rmdir(child);
-      if (!rm && rm.error() != FsError::not_found) co_return fs::fail(rm.error());
+      // A commit still in flight (restore mid-commit) may land in the
+      // directory after it was emptied: empty it again until the rmdir holds.
+      for (;;) {
+        auto sub = co_await remove_subtree(io, child);
+        if (!sub) co_return sub;
+        auto rm = co_await io.rmdir(child);
+        if (rm || rm.error() == FsError::not_found) break;
+        if (rm.error() != FsError::not_empty) co_return fs::fail(rm.error());
+      }
       continue;
     }
     auto rm = co_await io.unlink(child);

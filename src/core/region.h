@@ -180,7 +180,8 @@ class ConsistentRegion {
   sim::Task<fs::FsResult<std::uint64_t>> checkpoint(std::uint32_t client);
 
   /// Rolls the workspace back to checkpoint `id` and clears the cache
-  /// (client-node failure recovery).
+  /// (client-node failure recovery). Ops published before the call and not
+  /// yet committed are rolled back with it: they are discarded, not applied.
   sim::Task<fs::FsResult<void>> restore(std::uint64_t id);
 
   /// Drops node `failed` from the region (cache ring) after a crash. Entries
@@ -393,9 +394,16 @@ class ConsistentRegion {
   sim::Task<fs::FsResult<void>> copy_subtree(dfs::DfsClient& io, const fs::Path& from,
                                              const fs::Path& to);
   sim::Task<fs::FsResult<void>> remove_subtree(dfs::DfsClient& io, const fs::Path& target);
-  /// Drops the workspace's cached entries on every live cache server and
-  /// bumps invalidation_epoch_ (restore: the DFS subtree is being replaced).
+  /// Drops the workspace's cached entries on every live cache server and the
+  /// region's DFS dentries, and bumps invalidation_epoch_ (restore: the DFS
+  /// subtree is being replaced).
   void invalidate_workspace_state();
+  /// A DFS client for `node` that trusts its directory dentries (see
+  /// dfs::DfsClientConfig::trust_dir_dentries); the region owns all of them.
+  std::unique_ptr<dfs::DfsClient> make_dfs_client(net::NodeId node);
+  /// Drops every dentry of every DFS client the region owns: run wherever a
+  /// workspace directory is removed or replaced on the DFS.
+  void drop_dfs_dentries();
 
   std::string node_topic(net::NodeId node) const;
 
@@ -443,6 +451,9 @@ class ConsistentRegion {
   std::uint64_t next_checkpoint_id_ = 1;
   std::uint64_t last_checkpoint_id_ = 0;
   std::uint64_t next_op_id_ = 0;
+  /// Ops with an id up to this one were published before the latest restore
+  /// and are discarded uncommitted.
+  std::uint64_t restore_fence_ = 0;
   std::uint32_t next_client_id_ = 0;
   std::uint64_t committed_ops_ = 0;
   std::uint64_t invalidation_epoch_ = 0;

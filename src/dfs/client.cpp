@@ -23,7 +23,8 @@ sim::Task<MetaResponse> DfsClient::meta_call(MetaRequest req, obs::SpanId span) 
 const fs::InodeAttr* DfsClient::cache_find(const std::string& path) {
   auto it = dentries_.find(path);
   if (it == dentries_.end()) return nullptr;
-  if (it->second.expires_at < sim_.now()) {
+  const bool trusted = config_.trust_dir_dentries && it->second.attr.is_dir();
+  if (!trusted && it->second.expires_at < sim_.now()) {
     dentry_lru_.erase(it->second.lru_pos);
     dentries_.erase(it);
     return nullptr;
@@ -62,7 +63,11 @@ void DfsClient::invalidate_cache() {
   dentry_lru_.clear();
 }
 
-sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve(const fs::Path& path, bool fresh_leaf,
+void DfsClient::forget(const fs::Path& path) {
+  for (fs::Path p = path; !p.is_root(); p = p.parent()) cache_erase(p.str());
+}
+
+sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve(fs::Path path, bool fresh_leaf,
                                                       obs::SpanId span) {
   fs::InodeAttr current;
   current.ino = fs::kRootIno;
@@ -75,22 +80,18 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve(const fs::Path& path, bool
   // from cache hits (a cached entry may carry stale size/mtime).
   const auto comps = path.components();
   std::size_t start = 0;
-  {
-    fs::Path probe = fresh_leaf ? path.parent() : path;
-    std::size_t remaining = fresh_leaf ? comps.size() - 1 : comps.size();
-    while (!probe.is_root()) {
-      if (const fs::InodeAttr* hit = cache_find(probe.str())) {
-        current = *hit;
-        start = remaining;
-        break;
-      }
-      probe = probe.parent();
-      --remaining;
+  fs::Path walked = fresh_leaf ? path.parent() : path;  // resolved prefix: its cache key
+  std::size_t remaining = fresh_leaf ? comps.size() - 1 : comps.size();
+  while (!walked.is_root()) {
+    if (const fs::InodeAttr* hit = cache_find(walked.str())) {
+      current = *hit;
+      start = remaining;
+      break;
     }
+    walked = walked.parent();
+    --remaining;
   }
 
-  fs::Path walked;  // rebuilt prefix for cache keys
-  for (std::size_t i = 0; i < start; ++i) walked = walked.child(comps[i]);
   for (std::size_t i = start; i < comps.size(); ++i) {
     if (!current.is_dir()) co_return fs::fail(FsError::not_a_directory);
     MetaRequest req;
@@ -107,15 +108,14 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve(const fs::Path& path, bool
   co_return current;
 }
 
-sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve_dir(const fs::Path& path,
-                                                          obs::SpanId span) {
-  auto attr = co_await resolve(path, /*fresh_leaf=*/false, span);
+sim::Task<FsResult<fs::InodeAttr>> DfsClient::resolve_dir(fs::Path path, obs::SpanId span) {
+  auto attr = co_await resolve(std::move(path), /*fresh_leaf=*/false, span);
   if (!attr) co_return attr;
   if (!attr->is_dir()) co_return fs::fail(FsError::not_a_directory);
   co_return attr;
 }
 
-sim::Task<FsResult<fs::InodeAttr>> DfsClient::mkdir(const fs::Path& path, fs::FileMode mode,
+sim::Task<FsResult<fs::InodeAttr>> DfsClient::mkdir(fs::Path path, fs::FileMode mode,
                                                     obs::SpanId span) {
   if (!path.valid() || path.is_root()) co_return fs::fail(FsError::invalid);
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.mkdir", span, node_.value);
@@ -135,7 +135,7 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::mkdir(const fs::Path& path, fs::Fi
   co_return resp.attr;
 }
 
-sim::Task<FsResult<fs::InodeAttr>> DfsClient::create(const fs::Path& path, fs::FileMode mode,
+sim::Task<FsResult<fs::InodeAttr>> DfsClient::create(fs::Path path, fs::FileMode mode,
                                                      obs::SpanId span) {
   if (!path.valid() || path.is_root()) co_return fs::fail(FsError::invalid);
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.create", span, node_.value);
@@ -155,13 +155,13 @@ sim::Task<FsResult<fs::InodeAttr>> DfsClient::create(const fs::Path& path, fs::F
   co_return resp.attr;
 }
 
-sim::Task<FsResult<fs::InodeAttr>> DfsClient::getattr(const fs::Path& path, obs::SpanId span) {
+sim::Task<FsResult<fs::InodeAttr>> DfsClient::getattr(fs::Path path, obs::SpanId span) {
   if (!path.valid()) co_return fs::fail(FsError::invalid);
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.getattr", span, node_.value);
-  co_return co_await resolve(path, /*fresh_leaf=*/true, op.id());
+  co_return co_await resolve(std::move(path), /*fresh_leaf=*/true, op.id());
 }
 
-sim::Task<FsResult<void>> DfsClient::unlink(const fs::Path& path, obs::SpanId span) {
+sim::Task<FsResult<void>> DfsClient::unlink(fs::Path path, obs::SpanId span) {
   if (!path.valid() || path.is_root()) co_return fs::fail(FsError::invalid);
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.unlink", span, node_.value);
   auto parent = co_await resolve_dir(path.parent(), op.id());
@@ -178,7 +178,7 @@ sim::Task<FsResult<void>> DfsClient::unlink(const fs::Path& path, obs::SpanId sp
   co_return FsResult<void>{};
 }
 
-sim::Task<FsResult<void>> DfsClient::rmdir(const fs::Path& path, obs::SpanId span) {
+sim::Task<FsResult<void>> DfsClient::rmdir(fs::Path path, obs::SpanId span) {
   if (!path.valid() || path.is_root()) co_return fs::fail(FsError::invalid);
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.rmdir", span, node_.value);
   auto parent = co_await resolve_dir(path.parent(), op.id());
@@ -195,10 +195,9 @@ sim::Task<FsResult<void>> DfsClient::rmdir(const fs::Path& path, obs::SpanId spa
   co_return FsResult<void>{};
 }
 
-sim::Task<FsResult<std::vector<fs::DirEntry>>> DfsClient::readdir(const fs::Path& path,
-                                                                  obs::SpanId span) {
+sim::Task<FsResult<std::vector<fs::DirEntry>>> DfsClient::readdir(fs::Path path, obs::SpanId span) {
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.readdir", span, node_.value);
-  auto dir = co_await resolve_dir(path, op.id());
+  auto dir = co_await resolve_dir(std::move(path), op.id());
   if (!dir) co_return fs::fail(dir.error());
   MetaRequest req;
   req.op = MetaOp::readdir;
@@ -210,7 +209,7 @@ sim::Task<FsResult<std::vector<fs::DirEntry>>> DfsClient::readdir(const fs::Path
   co_return std::move(resp.entries);
 }
 
-sim::Task<FsResult<std::uint64_t>> DfsClient::write(const fs::Path& path, std::uint64_t offset,
+sim::Task<FsResult<std::uint64_t>> DfsClient::write(fs::Path path, std::uint64_t offset,
                                                     std::uint64_t length, obs::SpanId span) {
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.write", span, node_.value);
   auto attr = co_await resolve(path, /*fresh_leaf=*/false, op.id());
@@ -254,10 +253,10 @@ sim::Task<FsResult<std::uint64_t>> DfsClient::write(const fs::Path& path, std::u
   co_return written;
 }
 
-sim::Task<FsResult<std::uint64_t>> DfsClient::read(const fs::Path& path, std::uint64_t offset,
+sim::Task<FsResult<std::uint64_t>> DfsClient::read(fs::Path path, std::uint64_t offset,
                                                    std::uint64_t length, obs::SpanId span) {
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.read", span, node_.value);
-  auto attr = co_await resolve(path, /*fresh_leaf=*/false, op.id());
+  auto attr = co_await resolve(std::move(path), /*fresh_leaf=*/false, op.id());
   if (!attr) co_return fs::fail(attr.error());
   if (attr->is_dir()) co_return fs::fail(FsError::is_a_directory);
   const std::uint64_t chunk_bytes = cluster_.config().chunk_bytes;
@@ -289,9 +288,9 @@ sim::Task<FsResult<std::uint64_t>> DfsClient::read(const fs::Path& path, std::ui
   co_return bytes;
 }
 
-sim::Task<FsResult<void>> DfsClient::fsync(const fs::Path& path, obs::SpanId span) {
+sim::Task<FsResult<void>> DfsClient::fsync(fs::Path path, obs::SpanId span) {
   obs::Span op(span != obs::kNoSpan ? sim_.tracer() : nullptr, "dfs.fsync", span, node_.value);
-  auto attr = co_await resolve(path, /*fresh_leaf=*/false, op.id());
+  auto attr = co_await resolve(std::move(path), /*fresh_leaf=*/false, op.id());
   if (!attr) co_return fs::fail(attr.error());
   MetaRequest req;
   req.op = MetaOp::getattr;

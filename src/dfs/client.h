@@ -3,8 +3,10 @@
 // Resolves paths against the MDS one component at a time -- the network cost
 // that makes deep namespaces slow (paper Fig. 2) -- through a TTL'd LRU
 // dentry cache that models the kernel-client cache: helpful for a hot shared
-// parent directory, useless for random access over a large namespace. File
-// data is striped over the storage servers in fixed-size chunks.
+// parent directory, useless for random access over a large namespace. A
+// client that opts in (DfsClientConfig::trust_dir_dentries) keeps directory
+// dentries until its owner drops them. File data is striped over the storage
+// servers in fixed-size chunks.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,14 @@ struct DfsClientConfig {
   /// Cached dentries are revalidated after this long -- the BeeGFS client's
   /// (short) entry-validity window under its strong-consistency contract.
   sim::SimDuration dentry_ttl = 2_ms;
+  /// Keep directory dentries until invalidate_cache()/forget() drops them
+  /// instead of for dentry_ttl; file dentries still expire. Only a client
+  /// whose owner is told of every change to the directories it resolves may
+  /// set this: core::ConsistentRegion sets it on the clients it owns (inside
+  /// a region only its committers write the workspace subtree, and it drops
+  /// their dentries whenever a workspace directory is removed or replaced).
+  /// Every other client keeps the BeeGFS contract.
+  bool trust_dir_dentries = false;
 };
 
 class DfsClient {
@@ -45,31 +55,33 @@ class DfsClient {
   // Metadata operations (all paths absolute & canonical). The optional
   // trailing `span` is the caller's tracing context: traced ops get a
   // "dfs.<op>" child span covering resolution + the MDS round trips.
-  sim::Task<fs::FsResult<fs::InodeAttr>> mkdir(const fs::Path& path, fs::FileMode mode,
+  sim::Task<fs::FsResult<fs::InodeAttr>> mkdir(fs::Path path, fs::FileMode mode,
                                                obs::SpanId span = obs::kNoSpan);
-  sim::Task<fs::FsResult<fs::InodeAttr>> create(const fs::Path& path, fs::FileMode mode,
+  sim::Task<fs::FsResult<fs::InodeAttr>> create(fs::Path path, fs::FileMode mode,
                                                 obs::SpanId span = obs::kNoSpan);
-  sim::Task<fs::FsResult<fs::InodeAttr>> getattr(const fs::Path& path,
-                                                 obs::SpanId span = obs::kNoSpan);
-  sim::Task<fs::FsResult<void>> unlink(const fs::Path& path, obs::SpanId span = obs::kNoSpan);
-  sim::Task<fs::FsResult<void>> rmdir(const fs::Path& path, obs::SpanId span = obs::kNoSpan);
-  sim::Task<fs::FsResult<std::vector<fs::DirEntry>>> readdir(const fs::Path& path,
+  sim::Task<fs::FsResult<fs::InodeAttr>> getattr(fs::Path path, obs::SpanId span = obs::kNoSpan);
+  sim::Task<fs::FsResult<void>> unlink(fs::Path path, obs::SpanId span = obs::kNoSpan);
+  sim::Task<fs::FsResult<void>> rmdir(fs::Path path, obs::SpanId span = obs::kNoSpan);
+  sim::Task<fs::FsResult<std::vector<fs::DirEntry>>> readdir(fs::Path path,
                                                              obs::SpanId span = obs::kNoSpan);
 
   // Data operations; payloads are sizes (contents are not simulated).
-  sim::Task<fs::FsResult<std::uint64_t>> write(const fs::Path& path, std::uint64_t offset,
+  sim::Task<fs::FsResult<std::uint64_t>> write(fs::Path path, std::uint64_t offset,
                                                std::uint64_t length,
                                                obs::SpanId span = obs::kNoSpan);
-  sim::Task<fs::FsResult<std::uint64_t>> read(const fs::Path& path, std::uint64_t offset,
+  sim::Task<fs::FsResult<std::uint64_t>> read(fs::Path path, std::uint64_t offset,
                                               std::uint64_t length,
                                               obs::SpanId span = obs::kNoSpan);
   /// Durability barrier; our writes are write-through, so this only verifies
   /// the file still exists (one MDS round trip, as the real client fsync
   /// costs at least that).
-  sim::Task<fs::FsResult<void>> fsync(const fs::Path& path, obs::SpanId span = obs::kNoSpan);
+  sim::Task<fs::FsResult<void>> fsync(fs::Path path, obs::SpanId span = obs::kNoSpan);
 
   /// Drops every cached dentry (tests and failure handling).
   void invalidate_cache();
+  /// Drops the cached dentries of `path` and of each of its ancestors, so
+  /// the next resolution of `path` walks it over the wire from the root.
+  void forget(const fs::Path& path);
 
   std::uint64_t lookup_rpcs() const { return lookup_rpcs_; }
   std::uint64_t meta_rpcs() const { return meta_rpcs_; }
@@ -87,10 +99,10 @@ class DfsClient {
   /// `fresh_leaf` forces the final component over the wire even when cached:
   /// stat must return current attributes, so only intermediate directories
   /// benefit from the dentry cache (matching the real client).
-  sim::Task<fs::FsResult<fs::InodeAttr>> resolve(const fs::Path& path, bool fresh_leaf = false,
+  sim::Task<fs::FsResult<fs::InodeAttr>> resolve(fs::Path path, bool fresh_leaf = false,
                                                  obs::SpanId span = obs::kNoSpan);
   /// Resolve, requiring the result to be a directory.
-  sim::Task<fs::FsResult<fs::InodeAttr>> resolve_dir(const fs::Path& path,
+  sim::Task<fs::FsResult<fs::InodeAttr>> resolve_dir(fs::Path path,
                                                      obs::SpanId span = obs::kNoSpan);
 
   sim::Task<MetaResponse> meta_call(MetaRequest req, obs::SpanId span = obs::kNoSpan);

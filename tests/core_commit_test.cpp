@@ -246,6 +246,113 @@ TEST(Barrier, ReaddirObservesEveryPriorCreateAcrossNodes) {
   }(w.sim, clients));
 }
 
+// The region's DFS clients keep directory dentries until the region drops
+// them. An rmdir drops them on every node, so node 0's committer -- which
+// resolved /app/d when it committed the first mkdir -- commits later creates
+// under the directory node 1 made again, with no resubmission.
+TEST(Commit, RmdirDropsTrustedDentriesOnEveryNode) {
+  World w(2);
+  auto c0 = w.make_client(0);
+  auto c1 = w.make_client(1);
+  sim::run_task(w.sim, [](Pacon& a, Pacon& b) -> Task<> {
+    EXPECT_TRUE((co_await a.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default()))
+                    .has_value());
+    EXPECT_TRUE((co_await a.create(Path::parse("/app/d/old"), fs::FileMode::file_default()))
+                    .has_value());
+    co_await a.drain();
+    EXPECT_TRUE((co_await b.remove(Path::parse("/app/d/old"))).has_value());
+    EXPECT_TRUE((co_await b.rmdir(Path::parse("/app/d"))).has_value());
+    EXPECT_TRUE((co_await b.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default()))
+                    .has_value());
+    co_await b.drain();
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_TRUE((co_await a.create(Path::parse("/app/d/new" + std::to_string(i)),
+                                     fs::FileMode::file_default()))
+                      .has_value());
+    }
+    co_await a.drain();
+  }(*c0, *c1));
+  EXPECT_EQ(c0->region().commit_retries(), 0u);
+  const auto ns = w.dfs_namespace();
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ns.contains("/app/d/new" + std::to_string(i))) << i;
+  EXPECT_FALSE(ns.contains("/app/d/old"));
+}
+
+// Self-heal: a workspace directory replaced on the DFS behind the region's
+// back leaves every committer holding its old inode. Each committer's first
+// commit under it fails, drops the stale dentries and resubmits once; the
+// rest of the queue resolves the new directory.
+TEST(Commit, StaleTrustedDentryCostsOneResubmissionPerNode) {
+  World w(2);
+  auto c0 = w.make_client(0);
+  auto c1 = w.make_client(1);
+  sim::run_task(w.sim, [](Pacon& a, Pacon& b) -> Task<> {
+    EXPECT_TRUE((co_await a.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default()))
+                    .has_value());
+    (void)co_await a.create(Path::parse("/app/d/a"), fs::FileMode::file_default());
+    (void)co_await b.create(Path::parse("/app/d/b"), fs::FileMode::file_default());
+    co_await a.drain();
+    co_await b.drain();
+  }(*c0, *c1));
+  ASSERT_EQ(c0->region().commit_retries(), 0u);
+  dfs::DfsClient outsider(w.sim, w.dfs, net::NodeId{90'002});
+  sim::run_task(w.sim, [](dfs::DfsClient& io) -> Task<> {
+    EXPECT_TRUE((co_await io.unlink(Path::parse("/app/d/a"))).has_value());
+    EXPECT_TRUE((co_await io.unlink(Path::parse("/app/d/b"))).has_value());
+    EXPECT_TRUE((co_await io.rmdir(Path::parse("/app/d"))).has_value());
+    EXPECT_TRUE((co_await io.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default()))
+                    .has_value());
+  }(outsider));
+  bool drained = false;
+  w.sim.spawn([](Pacon& a, Pacon& b, bool& done) -> Task<> {
+    for (int i = 0; i < 5; ++i) {
+      (void)co_await a.create(Path::parse("/app/d/x" + std::to_string(i)),
+                              fs::FileMode::file_default());
+      (void)co_await b.create(Path::parse("/app/d/y" + std::to_string(i)),
+                              fs::FileMode::file_default());
+    }
+    co_await a.drain();
+    co_await b.drain();
+    done = true;
+  }(*c0, *c1, drained));
+  w.sim.run_for(1_s);  // a commit resubmitted through the stale dentry would still retry
+  ASSERT_TRUE(drained);
+  EXPECT_GE(c0->region().commit_retries(), 1u);
+  EXPECT_LE(c0->region().commit_retries(), 2u);  // at most one per node
+  const auto ns = w.dfs_namespace();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(ns.contains("/app/d/x" + std::to_string(i))) << i;
+    EXPECT_TRUE(ns.contains("/app/d/y" + std::to_string(i))) << i;
+  }
+}
+
+// A checkpoint restore replaces every workspace directory on the DFS. It
+// drops the region's dentries, so node 1's committer, which resolved /app/d
+// before the rollback, commits a later create under the restored /app/d
+// without a resubmission.
+TEST(Commit, RestoreDropsTrustedDentries) {
+  World w(2);
+  auto c0 = w.make_client(0);
+  auto c1 = w.make_client(1);
+  sim::run_task(w.sim, [](Pacon& a, Pacon& b) -> Task<> {
+    EXPECT_TRUE((co_await a.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default()))
+                    .has_value());
+    (void)co_await b.create(Path::parse("/app/d/f"), fs::FileMode::file_default());
+    auto ckpt = co_await a.checkpoint();
+    EXPECT_TRUE(ckpt.has_value());
+    if (!ckpt) co_return;
+    EXPECT_TRUE((co_await a.restore(*ckpt)).has_value());
+    // Node 0 loads the restored /app/d into the cache, so node 1's create
+    // finds its parent there and only node 1's committer resolves /app/d.
+    EXPECT_TRUE((co_await a.getattr(Path::parse("/app/d"))).has_value());
+    EXPECT_TRUE((co_await b.create(Path::parse("/app/d/g"), fs::FileMode::file_default()))
+                    .has_value());
+    co_await b.drain();
+  }(*c0, *c1));
+  EXPECT_EQ(c1->region().commit_retries(), 0u);
+  EXPECT_TRUE(w.dfs_namespace().contains("/app/d/g"));
+}
+
 TEST(Commit, SyncCommitAblationBypassesQueues) {
   World w(2);
   PaconConfig cfg;

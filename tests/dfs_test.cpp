@@ -167,6 +167,74 @@ TEST(DfsClient, TtlExpiryForcesRevalidation) {
   }(f.sim, f.client));
 }
 
+// A trusting client (the region's committers) keeps directory dentries past
+// dentry_ttl; file dentries still expire.
+TEST(DfsClient, TrustedDirectoryDentryOutlivesTtlFileDentryDoesNot) {
+  DfsClientConfig cfg;
+  cfg.trust_dir_dentries = true;
+  Fixture f({}, cfg);
+  sim::run_task(f.sim, [](Simulation& s, DfsClient& c) -> Task<> {
+    (void)co_await c.mkdir(Path::parse("/dir"), fs::FileMode::dir_default());
+    (void)co_await c.create(Path::parse("/dir/f"), fs::FileMode::file_default());
+    co_await s.delay(10 * c.config().dentry_ttl);
+    const auto before = c.lookup_rpcs();
+    EXPECT_TRUE((co_await c.create(Path::parse("/dir/g"), fs::FileMode::file_default()))
+                    .has_value());
+    EXPECT_EQ(c.lookup_rpcs(), before);  // parent served by the trusted dentry
+    // The file dentry expired: writing it re-looks-up the leaf, and only it.
+    EXPECT_TRUE((co_await c.write(Path::parse("/dir/f"), 0, 10)).has_value());
+    EXPECT_EQ(c.lookup_rpcs(), before + 1);
+  }(f.sim, f.client));
+}
+
+TEST(DfsClient, InvalidateCacheDropsTrustedDirectories) {
+  DfsClientConfig cfg;
+  cfg.trust_dir_dentries = true;
+  Fixture f({}, cfg);
+  sim::run_task(f.sim, [](DfsClient& c) -> Task<> {
+    (void)co_await c.mkdir(Path::parse("/dir"), fs::FileMode::dir_default());
+    (void)co_await c.mkdir(Path::parse("/dir/sub"), fs::FileMode::dir_default());
+    c.invalidate_cache();
+    const auto before = c.lookup_rpcs();
+    (void)co_await c.create(Path::parse("/dir/sub/f"), fs::FileMode::file_default());
+    EXPECT_EQ(c.lookup_rpcs(), before + 2);  // /dir and /dir/sub over the wire
+  }(f.client));
+}
+
+TEST(DfsClient, ForgetDropsThePathAndItsAncestors) {
+  DfsClientConfig cfg;
+  cfg.trust_dir_dentries = true;
+  Fixture f({}, cfg);
+  sim::run_task(f.sim, [](DfsClient& c) -> Task<> {
+    (void)co_await c.mkdir(Path::parse("/a"), fs::FileMode::dir_default());
+    (void)co_await c.mkdir(Path::parse("/a/b"), fs::FileMode::dir_default());
+    (void)co_await c.mkdir(Path::parse("/c"), fs::FileMode::dir_default());
+    c.forget(Path::parse("/a/b/f"));
+    auto before = c.lookup_rpcs();
+    (void)co_await c.create(Path::parse("/a/b/f"), fs::FileMode::file_default());
+    EXPECT_EQ(c.lookup_rpcs(), before + 2);  // /a and /a/b re-resolved
+    before = c.lookup_rpcs();
+    (void)co_await c.create(Path::parse("/c/f"), fs::FileMode::file_default());
+    EXPECT_EQ(c.lookup_rpcs(), before);  // an unrelated directory stays cached
+  }(f.client));
+}
+
+TEST(DfsClient, DefaultClientRevalidatesDirectoriesAfterTtl) {
+  Fixture f;
+  ASSERT_FALSE(f.client.config().trust_dir_dentries);
+  sim::run_task(f.sim, [](Simulation& s, DfsClient& c) -> Task<> {
+    (void)co_await c.mkdir(Path::parse("/dir"), fs::FileMode::dir_default());
+    (void)co_await c.create(Path::parse("/dir/f"), fs::FileMode::file_default());
+    auto before = c.lookup_rpcs();
+    (void)co_await c.create(Path::parse("/dir/g"), fs::FileMode::file_default());
+    EXPECT_EQ(c.lookup_rpcs(), before);  // still inside the TTL
+    co_await s.delay(10 * c.config().dentry_ttl);
+    before = c.lookup_rpcs();
+    (void)co_await c.create(Path::parse("/dir/h"), fs::FileMode::file_default());
+    EXPECT_EQ(c.lookup_rpcs(), before + 1);  // /dir re-looked-up
+  }(f.sim, f.client));
+}
+
 TEST(DfsClient, DeepPathsCostMoreLookups) {
   DfsClientConfig cfg;
   cfg.dentry_cache_capacity = 0;  // disable caching to expose raw traversal

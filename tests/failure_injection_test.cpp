@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/consistency_check.h"
 #include "core/pacon.h"
 #include "failure_suite_common.h"
 #include "sim/combinators.h"
@@ -330,6 +331,109 @@ TEST(Failure, CommitCrashRedeliversEveryOpExactlyOnce) {
   EXPECT_EQ(c->region().commit_crashes(), 1u);
   EXPECT_EQ(c->region().redelivered_ops(), 30u);
   EXPECT_EQ(c->region().committed_ops(), 31u);
+}
+
+// Restore mid-commit: the rollback starts while node 1's committer still
+// holds creates made after the checkpoint. One already on its way to the MDS
+// lands in the directory the rollback is emptying, so it empties it again;
+// the rest are discarded with the rolled-back window. The committers' trusted
+// directory dentries name inodes the rollback replaces, so restore drops
+// them: creates issued after the restore land on the DFS, and the two copies
+// agree after the drain.
+TEST(Failure, RestoreMidCommitConvergesAndKeepsLaterCreates) {
+  World w;
+  auto c0 = w.make_client(0);
+  auto c1 = w.make_client(1);
+  sim::run_task(w.sim, [](World& world, Pacon& a, Pacon& b) -> Task<> {
+    EXPECT_TRUE((co_await a.mkdir(Path::parse("/app/d"), fs::FileMode::dir_default()))
+                    .has_value());
+    for (int i = 0; i < 8; ++i) {
+      (void)co_await b.create(Path::parse("/app/d/k" + std::to_string(i)),
+                              fs::FileMode::file_default());
+    }
+    auto ckpt = co_await a.checkpoint();
+    EXPECT_TRUE(ckpt.has_value());
+    if (!ckpt) co_return;
+
+    // Slow node 1's requests to the MDS so its next creates are still
+    // committing when the rollback starts: the first reaches the MDS while
+    // the rollback is emptying /app/d.
+    const std::uint32_t mds = world.dfs.config().mds_node.value;
+    world.link_faults().set_link(
+        1, mds, sim::MessageFaultConfig{.delay_prob = 1.0, .delay_min = 500_us,
+                                        .delay_max = 500_us});
+    for (int i = 0; i < 3; ++i) {
+      (void)co_await b.create(Path::parse("/app/d/late" + std::to_string(i)),
+                              fs::FileMode::file_default());
+    }
+    EXPECT_GT(a.region().pending_commits(), 0u);
+    const auto restored = co_await a.restore(*ckpt);
+    EXPECT_TRUE(restored.has_value()) << fs::to_string(restored.error());
+    world.link_faults().set_link(1, mds, sim::MessageFaultConfig{});
+
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_TRUE((co_await a.create(Path::parse("/app/d/a" + std::to_string(i)),
+                                     fs::FileMode::file_default()))
+                      .has_value());
+      EXPECT_TRUE((co_await b.create(Path::parse("/app/d/b" + std::to_string(i)),
+                                     fs::FileMode::file_default()))
+                      .has_value());
+    }
+    co_await a.drain();
+    co_await b.drain();
+    EXPECT_EQ(a.region().pending_commits(), 0u);
+
+    dfs::DfsClient probe(world.sim, world.dfs, net::NodeId{90'001});
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_TRUE((co_await probe.getattr(Path::parse("/app/d/a" + std::to_string(i))))
+                      .has_value());
+      EXPECT_TRUE((co_await probe.getattr(Path::parse("/app/d/b" + std::to_string(i))))
+                      .has_value());
+      EXPECT_TRUE((co_await probe.getattr(Path::parse("/app/d/k" + std::to_string(i))))
+                      .has_value());
+    }
+    const ConsistencyReport report = co_await check_consistency(a.region(), probe);
+    EXPECT_TRUE(report.cache_only.empty()) << report.summary();
+    EXPECT_TRUE(report.in_flight.empty()) << report.summary();
+    EXPECT_TRUE(report.mismatched.empty()) << report.summary();
+  }(w, *c0, *c1));
+}
+
+// Creates in flight under a directory the rollback removes: node 0 commits
+// the mkdir quickly, node 1's creates reach the MDS only after the restore
+// removed the directory again. They belong to the rolled-back window, so
+// they are discarded instead of resubmitted for ever, and drain() returns.
+TEST(Failure, RestoreDiscardsCommitsUnderARolledBackDirectory) {
+  World w;
+  auto c0 = w.make_client(0);
+  auto c1 = w.make_client(1);
+  bool drained = false;
+  w.sim.spawn([](World& world, Pacon& a, Pacon& b, bool& done) -> Task<> {
+    auto ckpt = co_await a.checkpoint();
+    EXPECT_TRUE(ckpt.has_value());
+    if (!ckpt) co_return;
+    const std::uint32_t mds = world.dfs.config().mds_node.value;
+    world.link_faults().set_link(
+        1, mds, sim::MessageFaultConfig{.delay_prob = 1.0, .delay_min = 3_ms, .delay_max = 3_ms});
+    EXPECT_TRUE((co_await a.mkdir(Path::parse("/app/new"), fs::FileMode::dir_default()))
+                    .has_value());
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_TRUE((co_await b.create(Path::parse("/app/new/f" + std::to_string(i)),
+                                     fs::FileMode::file_default()))
+                      .has_value());
+    }
+    EXPECT_TRUE((co_await a.restore(*ckpt)).has_value());
+    EXPECT_GT(a.region().pending_commits(), 0u);
+    world.link_faults().set_link(1, mds, sim::MessageFaultConfig{});
+    co_await a.drain();
+    dfs::DfsClient probe(world.sim, world.dfs, net::NodeId{90'001});
+    EXPECT_EQ((co_await probe.getattr(Path::parse("/app/new"))).error(), FsError::not_found);
+    const ConsistencyReport report = co_await check_consistency(a.region(), probe);
+    EXPECT_TRUE(report.converged()) << report.summary();
+    done = true;
+  }(w, *c0, *c1, drained));
+  w.sim.run_for(1_s);  // without the discard, six creates would still be retrying
+  EXPECT_TRUE(drained);
 }
 
 // A cache node that flaps (down, then back) must rejoin cold: the entry it
