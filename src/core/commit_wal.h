@@ -29,8 +29,14 @@ namespace pacon::core {
 
 class CommitWal {
  public:
-  CommitWal(sim::Simulation& sim, sim::SimDisk& disk, sim::SimDuration flush_period)
-      : sim_(sim), disk_(disk), flush_period_(flush_period) {}
+  /// `backlog_gauge` tracks the unacked backlog: the WAL cannot name a
+  /// registry metric itself (it does not know which region/node it belongs
+  /// to), so the owner resolves the gauge and hands it in.
+  CommitWal(sim::Simulation& sim, sim::SimDisk& disk, sim::SimDuration flush_period,
+            sim::Gauge& backlog_gauge)
+      : sim_(sim), disk_(disk), flush_period_(flush_period), backlog_gauge_(backlog_gauge) {
+    note_backlog();
+  }
   CommitWal(const CommitWal&) = delete;
   CommitWal& operator=(const CommitWal&) = delete;
 
@@ -40,7 +46,6 @@ class CommitWal {
   void append(const OpMessage& msg) {
     log_.push_back(msg);
     dirty_bytes_ += kRecordOverhead + msg.path.size();
-    ++appends_;
     note_backlog();
   }
 
@@ -48,7 +53,6 @@ class CommitWal {
   void ack(std::uint64_t op_id) {
     acked_.insert(op_id);
     dirty_bytes_ += kAckBytes;
-    ++acks_;
     compact();
     note_backlog();
   }
@@ -68,16 +72,6 @@ class CommitWal {
 
   std::size_t backlog() const { return log_.size() - acked_.size(); }
 
-  /// Optional metrics hook: the WAL cannot name a registry metric itself
-  /// (it does not know which region/node it belongs to), so the owner
-  /// resolves a gauge and hands it in. Tracks the unacked backlog.
-  void set_backlog_gauge(sim::Gauge* g) {
-    backlog_gauge_ = g;
-    note_backlog();
-  }
-  std::uint64_t appends() const { return appends_; }
-  std::uint64_t acks() const { return acks_; }
-  std::uint64_t flushes() const { return flushes_; }
 
   /// Stops the flusher at its next tick (region teardown).
   void stop() { stopped_ = true; }
@@ -91,7 +85,6 @@ class CommitWal {
       const std::uint64_t batch = dirty_bytes_;
       dirty_bytes_ = 0;
       co_await disk_.write(batch);
-      ++flushes_;
     }
   }
 
@@ -110,9 +103,7 @@ class CommitWal {
     }
   }
 
-  void note_backlog() {
-    if (backlog_gauge_ != nullptr) backlog_gauge_->set(static_cast<std::int64_t>(backlog()));
-  }
+  void note_backlog() { backlog_gauge_.set(static_cast<std::int64_t>(backlog())); }
 
   sim::Simulation& sim_;
   sim::SimDisk& disk_;
@@ -120,11 +111,8 @@ class CommitWal {
   std::deque<OpMessage> log_;
   std::unordered_set<std::uint64_t> acked_;
   std::uint64_t dirty_bytes_ = 0;
-  std::uint64_t appends_ = 0;
-  std::uint64_t acks_ = 0;
-  std::uint64_t flushes_ = 0;
   bool stopped_ = false;
-  sim::Gauge* backlog_gauge_ = nullptr;
+  sim::Gauge& backlog_gauge_;
 };
 
 }  // namespace pacon::core

@@ -27,21 +27,19 @@ namespace pacon::core {
 
 class EpochCoordinator {
  public:
-  EpochCoordinator(sim::Simulation& sim, std::size_t node_count)
-      : sim_(sim), node_count_(node_count) {}
+  /// `state_gauge`, when given, tracks the current epoch as it advances: the
+  /// coordinator cannot name a registry metric itself (it does not know
+  /// which region it serves), so the owner resolves the gauge and hands it in.
+  EpochCoordinator(sim::Simulation& sim, std::size_t node_count,
+                   sim::Gauge* state_gauge = nullptr)
+      : sim_(sim), node_count_(node_count), state_gauge_(state_gauge) {
+    if (state_gauge_ != nullptr) state_gauge_->set(0);
+  }
   EpochCoordinator(const EpochCoordinator&) = delete;
   EpochCoordinator& operator=(const EpochCoordinator&) = delete;
 
   /// Epoch currently being committed (ops stamped with this value flow).
   std::uint64_t current_epoch() const { return current_; }
-
-  /// Optional metrics hook: the coordinator cannot name a registry metric
-  /// itself (it does not know which region it serves), so the owner resolves
-  /// a gauge and hands it in. Tracks the current epoch as it advances.
-  void set_state_gauge(sim::Gauge* g) {
-    state_gauge_ = g;
-    if (state_gauge_ != nullptr) state_gauge_->set(static_cast<std::int64_t>(current_));
-  }
 
   /// Adjusts how many nodes must report per barrier (nodes without clients
   /// or crashed nodes do not participate). Safe to call between barriers --

@@ -26,13 +26,10 @@ struct OpMessage {
   /// WAL redelivery reuse it instead of rehashing the spelling.
   std::uint64_t path_hash = 0;
   fs::FileMode mode{};
-  fs::Credentials creds{};
   /// write_data: bytes to push to the DFS; create: inline payload size.
   std::uint64_t size = 0;
   /// Barrier epoch this message belongs to (paper Section III.E.2).
   std::uint64_t epoch = 0;
-  /// Region-wide client id of the publisher.
-  std::uint32_t client_id = 0;
   sim::SimTime timestamp = 0;
   /// Region-unique id assigned at publish time (0 = never published). Keys
   /// the determinism trace so same-seed runs can be compared op-by-op.

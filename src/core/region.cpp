@@ -1,7 +1,6 @@
 #include "core/region.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <set>
 
@@ -20,13 +19,27 @@ std::string subtree_prefix(const fs::Path& dir) {
   return dir.is_root() ? std::string("/") : dir.str() + "/";
 }
 
-/// Metric namespace of a region: "region.<root>" with '/' flattened to '_'
-/// ('.' is the scope separator, '/' would read as nested scopes).
-std::string region_metric_scope(const fs::Path& root) {
+/// The workspace root with '/' flattened to '_', to name the region's
+/// metric namespace ("region.<tag>": '.' is the scope separator, '/' would
+/// read as nested scopes) and its checkpoints.
+std::string root_tag(const fs::Path& root) {
   std::string tag = root.str();
   std::replace(tag.begin(), tag.end(), '/', '_');
-  return "region." + tag;
+  return tag;
 }
+
+/// The region's evictor owns space management; the cache daemons must not
+/// drop entries behind its back (Section III.F).
+kv::KvConfig region_cache_config(kv::KvConfig cache) {
+  cache.lru_eviction = false;
+  return cache;
+}
+
+/// CPU cost of a local (client-side) batch permission match.
+constexpr sim::SimDuration kPermissionCheckCpu = 400_ns;
+/// Caller-side cost of pushing one operation message into the commit queue
+/// (serialization + the ZeroMQ-style socket write).
+constexpr sim::SimDuration kQueuePublishCpu = 12_us;
 
 }  // namespace
 
@@ -37,82 +50,40 @@ ConsistentRegion::ConsistentRegion(sim::Simulation& sim, net::Fabric& fabric,
       dfs_(dfs),
       config_(std::move(config)),
       permissions_(config_.normal_permission),
-      epochs_(sim, config_.nodes.size()),
-      barrier_mutex_(sim),
-      rng_(sim.rng().fork("region-retry")),
-      drained_gate_(sim),
-      queue_depth_gauge_(sim.metrics().scoped(region_metric_scope(config_.root))
-                             .gauge("commit_queue_depth")),
-      degraded_gauge_(
-          sim.metrics().scoped(region_metric_scope(config_.root)).gauge("degraded_latch")),
-      committed_ctr_(
-          sim.metrics().scoped(region_metric_scope(config_.root)).counter("committed_ops")),
-      retries_ctr_(
-          sim.metrics().scoped(region_metric_scope(config_.root)).counter("commit_retries")),
-      redelivered_ctr_(
-          sim.metrics().scoped(region_metric_scope(config_.root)).counter("redelivered_ops")),
-      degraded_ctr_(
-          sim.metrics().scoped(region_metric_scope(config_.root)).counter("degraded_ops")),
-      coalesced_ctr_(sim.metrics()
-                         .scoped(region_metric_scope(config_.root))
-                         .counter("parent_checks_coalesced")) {
+      metrics_(sim.metrics().scoped("region." + root_tag(config_.root))),
+      cache_(std::make_unique<kv::MemCacheCluster>(sim, fabric,
+                                                   region_cache_config(config_.cache))),
+      pipeline_(sim, fabric, *cache_, config_.root, metrics_, config_.nodes.size()),
+      degraded_gauge_(metrics_.gauge("degraded_latch")),
+      degraded_(metrics_.counter("degraded_ops")),
+      evicted_(metrics_.counter("evicted_entries")),
+      coalesced_(metrics_.counter("parent_checks_coalesced")) {
   if (!config_.root.valid() || config_.nodes.empty()) {
     throw std::invalid_argument("ConsistentRegion: workspace path and nodes are required");
   }
-
-  // The region's evictor owns space management; the cache daemons must not
-  // drop entries behind its back (Section III.F).
-  kv::KvConfig cache_cfg = config_.cache;
-  cache_cfg.lru_eviction = false;
-  cache_ = std::make_unique<kv::MemCacheCluster>(sim_, fabric_, cache_cfg);
-  bus_ = std::make_unique<net::PubSubBus<OpMessage>>(sim_, fabric_);
-  // The commit queue models the prototype's ZeroMQ-over-TCP transport:
-  // retransmitted and deduped, so queue messages are only lost with their
-  // endpoint. Wire-level fault injection bites the RPC planes (cache, DFS);
-  // a silently dropped barrier sentinel would wedge the epoch protocol in a
-  // way no real TCP queue does.
-  bus_->set_reliable_transport(true);
-  pending_by_hash_.reserve(4096);
-
-  sim::MetricScope scope = sim_.metrics().scoped(region_metric_scope(config_.root));
-  epochs_.set_state_gauge(&scope.gauge("epoch"));
-
+  members_.reserve(config_.nodes.size());
   for (const auto node : config_.nodes) {
     cache_->add_server(node);
-    auto state = std::make_unique<NodeState>();
-    state->node = node;
-    state->topic = node_topic(node);
-    state->queue = bus_->subscribe(state->topic, node);
-    state->topic_handle = bus_->topic_handle(state->topic);
-    state->dfs_client = make_dfs_client(node);
-    state->ordered = std::make_unique<sim::Channel<OpMessage>>(sim_);
-    state->retry_queue = std::make_unique<sim::Channel<OpMessage>>(sim_);
-    state->spill_disk = std::make_unique<sim::SimDisk>(sim_, sim::DiskConfig::nvme());
-    state->wal_disk = std::make_unique<sim::SimDisk>(sim_, sim::DiskConfig::nvme());
-    state->wal = std::make_unique<CommitWal>(sim_, *state->wal_disk, config_.wal_flush_period);
-    state->wal->set_backlog_gauge(
-        // lint-allow: metric-hot-loop once-per-node at region construction, not a hot path
-        &scope.scoped("n" + std::to_string(node.value)).gauge("wal_backlog"));
-    node_states_.push_back(std::move(state));
-    sim_.spawn(sorter_loop(*node_states_.back()));
-    sim_.spawn(committer_loop(*node_states_.back()));
-    sim_.spawn(retry_loop(*node_states_.back()));
-    sim_.spawn(node_states_.back()->wal->flusher_loop());
+    Member& member = members_.emplace_back();
+    member.node = node;
+    member.dfs = make_dfs_client(node);
+    member.spill_disk = std::make_unique<sim::SimDisk>(sim_, sim::DiskConfig::nvme());
+    member.commit = &pipeline_.add_node(node, *member.dfs);
   }
   sim_.spawn(evictor_loop());
 }
 
-ConsistentRegion::NodeState& ConsistentRegion::state_for(net::NodeId node) {
-  auto it = std::find_if(node_states_.begin(), node_states_.end(),
-                         [node](const auto& s) { return s->node == node; });
-  assert(it != node_states_.end() && "operation issued from a non-member node");
-  return **it;
+ConsistentRegion::~ConsistentRegion() { stop_evictor_ = true; }
+
+ConsistentRegion::Member* ConsistentRegion::find_member(net::NodeId node) {
+  for (Member& member : members_) {
+    if (member.node == node) return &member;
+  }
+  return nullptr;
 }
 
 dfs::DfsClient& ConsistentRegion::reader_dfs(net::NodeId node) {
-  for (const auto& state : node_states_) {
-    if (state->node == node) return *state->dfs_client;
-  }
+  if (Member* member = find_member(node)) return *member->dfs;
   std::unique_ptr<dfs::DfsClient>& client = reader_dfs_clients_[node.value];
   if (!client) client = make_dfs_client(node);
   return *client;
@@ -129,72 +100,21 @@ std::unique_ptr<dfs::DfsClient> ConsistentRegion::make_dfs_client(net::NodeId no
 }
 
 void ConsistentRegion::drop_dfs_dentries() {
-  for (const auto& state : node_states_) state->dfs_client->invalidate_cache();
+  for (const Member& member : members_) member.dfs->invalidate_cache();
   for (const auto& [node, client] : reader_dfs_clients_) client->invalidate_cache();
 }
 
 fs::Path ConsistentRegion::checkpoint_path(std::uint64_t id) const {
-  std::string tag = config_.root.str();
-  std::replace(tag.begin(), tag.end(), '/', '_');
-  return fs::Path::parse("/.pacon").child("ckpt" + tag + "_" + std::to_string(id));
-}
-
-void ConsistentRegion::pending_increment(OpMessage& msg) {
-  msg.path_hash = sim::Rng::hash(msg.path);
-  ++pending_by_hash_[msg.path_hash];
-  ++pending_total_;
-  queue_depth_gauge_.set(static_cast<std::int64_t>(pending_total_));
-}
-
-void ConsistentRegion::pending_decrement(const OpMessage& msg) {
-  // The hash stamped at publish time rides in the message, so the commit
-  // side never rehashes the path.
-  const std::uint64_t hash = msg.path_hash != 0 ? msg.path_hash : sim::Rng::hash(msg.path);
-  if (const auto it = pending_by_hash_.find(hash); it != pending_by_hash_.end()) {
-    if (--it->second == 0) pending_by_hash_.erase(it);
-  }
-  if (pending_total_ > 0 && --pending_total_ == 0) drained_gate_.open();
-  queue_depth_gauge_.set(static_cast<std::int64_t>(pending_total_));
+  return fs::Path::parse("/.pacon").child("ckpt" + root_tag(config_.root) + "_" +
+                                          std::to_string(id));
 }
 
 void ConsistentRegion::note_degraded(obs::SpanId span) {
-  ++degraded_ops_;
-  degraded_ctr_.add();
+  degraded_.add();
   degraded_gauge_.set(1);
   if (obs::Tracer* tracer = sim_.tracer(); tracer != nullptr && span != obs::kNoSpan) {
     tracer->event(span, "degraded_passthrough");
   }
-}
-
-ConsistentRegion::~ConsistentRegion() {
-  stop_evictor_ = true;
-  // Shut the commit pipeline down cleanly: unsubscribing and closing each
-  // stage's channel dequeues the blocked sorter/committer/retry loops, so no
-  // loop is left parked in the wait queue of a destructed channel. If the
-  // simulation keeps running, the woken loops observe end-of-stream and
-  // exit; at teardown the kernel reclaims them either way.
-  for (auto& node : node_states_) {
-    bus_->unsubscribe(node->topic, node->queue);
-    node->ordered->close();
-    node->retry_queue->close();
-    node->wal->stop();
-  }
-}
-
-std::string ConsistentRegion::node_topic(net::NodeId node) const {
-  return config_.root.str() + "#" + std::to_string(node.value);
-}
-
-std::uint32_t ConsistentRegion::register_client(net::NodeId node) {
-  auto it = std::find_if(node_states_.begin(), node_states_.end(),
-                         [node](const auto& s) { return s->node == node; });
-  assert(it != node_states_.end() && "client node must be a region member");
-  const std::uint32_t id = next_client_id_++;
-  assert(id == clients_.size() && "client ids are dense indices");
-  clients_.push_back(it->get());
-  client_epochs_.push_back(epochs_.current_epoch());
-  ++(*it)->client_count;
-  return id;
 }
 
 // ---- Permission & parent checks -------------------------------------------
@@ -205,7 +125,7 @@ sim::Task<FsResult<void>> ConsistentRegion::check_permission(net::NodeId from,
                                                              obs::SpanId span) {
   if (config_.batch_permission) {
     // One local match against the predefined table (Section III.C).
-    co_await sim_.delay(config_.permission_check_cpu);
+    co_await sim_.delay(kPermissionCheckCpu);
     if (!permissions_.check(path, config_.creds, access)) {
       co_return fs::fail(FsError::permission);
     }
@@ -247,13 +167,13 @@ sim::Task<FsResult<void>> ConsistentRegion::check_parent(net::NodeId from,
                                                          obs::SpanId span) {
   const fs::Path parent = path.parent();
   if (!contains(parent)) co_return FsResult<void>{};  // workspace root's parent
-  NodeState& node = state_for(from);
+  Member& node = member(from);
   if (const auto it = node.parent_checks.find(fs::SpellingKey{parent});
       it != node.parent_checks.end() && it->second.epoch == invalidation_epoch_) {
     // A check of this parent is already in flight from this node and began
     // after the last removal: its verdict answers this create too.
     const std::shared_ptr<sim::OneShot<FsError>> verdict = it->second.verdict;
-    coalesced_ctr_.add();
+    coalesced_.add();
     obs::Span wait(span != obs::kNoSpan ? sim_.tracer() : nullptr, "parent_check.wait", span,
                    from.value);
     const FsError error = co_await verdict->get();
@@ -300,7 +220,7 @@ sim::Task<FsResult<void>> ConsistentRegion::probe_parent(net::NodeId from, fs::P
   }
   if (!config_.parent_check) co_return FsResult<void>{};
   // Parent exists on the DFS but is not cached: synchronous check + load.
-  auto attr = co_await state_for(from).dfs_client->getattr(parent, span);
+  auto attr = co_await member(from).dfs->getattr(parent, span);
   if (!attr) co_return fs::fail(attr.error());
   if (!attr->is_dir()) co_return fs::fail(FsError::not_a_directory);
   CachedMeta meta_new;
@@ -317,28 +237,6 @@ sim::Task<std::optional<CachedMeta>> ConsistentRegion::cache_get(net::NodeId fro
   const auto resp = co_await cache_->get(from, path.str(), path.hash(), span);
   if (resp.status != kv::KvStatus::ok) co_return std::nullopt;
   co_return decode_meta(resp.value);
-}
-
-void ConsistentRegion::publish(std::uint32_t client, OpMessage msg, obs::SpanId parent) {
-  assert(client < clients_.size());
-  NodeState* home = clients_[client];
-  msg.client_id = client;
-  msg.epoch = client_epochs_[client];
-  msg.timestamp = sim_.now();
-  msg.op_id = ++next_op_id_;
-  if (obs::Tracer* tracer = sim_.tracer(); tracer != nullptr && parent != obs::kNoSpan) {
-    // The commit span deliberately outlives this call: it rides inside the
-    // message across the pub/sub hop (and any WAL redelivery) and closes
-    // only when apply_and_account settles the op's fate on the DFS.
-    msg.span = tracer->begin_span("commit", parent, home->node.value);
-  }
-  if (!is_barrier(msg)) pending_increment(msg);
-  sim_.trace_note_lazy([&] {
-    return "publish op=" + std::to_string(msg.op_id) + " kind=" + to_string(msg.kind) +
-           " path=" + msg.path + " epoch=" + std::to_string(msg.epoch) +
-           " client=" + std::to_string(client);
-  });
-  bus_->publish(home->node, home->topic_handle, std::move(msg));
 }
 
 // ---- Create / mkdir ----------------------------------------------------------
@@ -376,29 +274,23 @@ sim::Task<FsResult<void>> ConsistentRegion::create_common(net::NodeId from,
   if (resp.status == kv::KvStatus::unreachable) {
     // Degraded pass-through: no live cache server for this key (retries and
     // ring failover exhausted). The entry is not cached, but the namespace
-    // still advances via a synchronous DFS commit; cached coverage rebuilds
-    // lazily once the node returns.
+    // still advances via the synchronous DFS commit below; cached coverage
+    // rebuilds lazily once the node returns.
     note_degraded(parent);
-    dfs::DfsClient& direct = *state_for(from).dfs_client;
-    auto committed = type == fs::FileType::directory ? co_await direct.mkdir(path, mode, parent)
-                                                     : co_await direct.create(path, mode, parent);
-    if (!committed) co_return fs::fail(committed.error());
+  } else if (resp.status != kv::KvStatus::ok) {
+    co_return fs::fail(FsError::no_space);
+  } else if (config_.async_commit) {
+    OpMessage op;
+    op.kind = type == fs::FileType::directory ? OpMessage::Kind::mkdir : OpMessage::Kind::create;
+    op.path = path.str();
+    op.mode = mode;
+    co_await sim_.delay(kQueuePublishCpu);
+    pipeline_.publish(client, std::move(op), parent);
     co_return FsResult<void>{};
   }
-  if (resp.status != kv::KvStatus::ok) co_return fs::fail(FsError::no_space);
-
-  OpMessage op;
-  op.kind = type == fs::FileType::directory ? OpMessage::Kind::mkdir : OpMessage::Kind::create;
-  op.path = path.str();
-  op.mode = mode;
-  op.creds = config_.creds;
-  if (config_.async_commit) {
-    co_await sim_.delay(config_.queue_publish_cpu);
-    publish(client, op, parent);
-    co_return FsResult<void>{};
-  }
-  // Ablation: synchronous commit through this node's DFS client.
-  dfs::DfsClient& io = *state_for(from).dfs_client;
+  // Degraded pass-through, or the sync-commit ablation: commit through this
+  // node's DFS client.
+  dfs::DfsClient& io = *member(from).dfs;
   auto committed = type == fs::FileType::directory ? co_await io.mkdir(path, mode, parent)
                                                    : co_await io.create(path, mode, parent);
   if (!committed) co_return fs::fail(committed.error());
@@ -454,14 +346,14 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
       // Degraded pass-through: the key's cache shard is gone; unlink
       // synchronously on the DFS (nothing cached survives to go stale).
       note_degraded(parent);
-      auto done = co_await state_for(from).dfs_client->unlink(path, parent);
+      auto done = co_await member(from).dfs->unlink(path, parent);
       if (!done) co_return fs::fail(done.error());
       ++invalidation_epoch_;
       co_return FsResult<void>{};
     }
     if (cur.status == kv::KvStatus::not_found) {
       // Not cached: verify against the DFS before queueing the remove.
-      auto attr = co_await state_for(from).dfs_client->getattr(path, parent);
+      auto attr = co_await member(from).dfs->getattr(path, parent);
       if (!attr) co_return fs::fail(attr.error());
       if (attr->is_dir()) co_return fs::fail(FsError::is_a_directory);
       CachedMeta marked;
@@ -487,13 +379,12 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
   OpMessage op;
   op.kind = OpMessage::Kind::remove;
   op.path = path.str();
-  op.creds = config_.creds;
   if (config_.async_commit) {
-    co_await sim_.delay(config_.queue_publish_cpu);
-    publish(client, op, parent);
+    co_await sim_.delay(kQueuePublishCpu);
+    pipeline_.publish(client, std::move(op), parent);
     co_return FsResult<void>{};
   }
-  auto done = co_await state_for(from).dfs_client->unlink(path, parent);
+  auto done = co_await member(from).dfs->unlink(path, parent);
   (void)co_await cache_->del(from, path.str(), path.hash(), parent);
   if (!done) co_return fs::fail(done.error());
   co_return FsResult<void>{};
@@ -501,101 +392,23 @@ sim::Task<FsResult<void>> ConsistentRegion::remove(net::NodeId from, std::uint32
 
 // ---- Dependent operations: rmdir / readdir ------------------------------------
 
-sim::Task<ConsistentRegion::BarrierResult> ConsistentRegion::run_barrier(net::NodeId from,
-                                                                         obs::SpanId parent) {
-  obs::Span span(parent != obs::kNoSpan ? sim_.tracer() : nullptr, "barrier", parent, from.value);
-  co_await barrier_mutex_.lock();
-  const std::uint64_t e = epochs_.current_epoch();
-  // Only live nodes with a running commit process that actually host clients
-  // owe a barrier report; a node without publishers has a trivially drained
-  // queue, a crashed node will never report (its queued work is already
-  // lost), and a crashed commit process reports only after restart.
-  std::size_t participating = 0;
-  for (const auto& state : node_states_) {
-    if (state->alive && state->commit_running && state->client_count > 0) ++participating;
-  }
-  epochs_.set_node_count(participating);
-  if (participating == 0) {
-    ++barriers_run_;
-    span.finish("drained");
-    co_return BarrierResult{e, true};
-  }
-  // Broadcast: every client pushes a barrier message and enters epoch e+1.
-  // The physical broadcast to remote nodes costs one (parallel) one-way hop.
-  co_await sim_.delay(fabric_.one_way(from, node_states_.front()->node, 64));
-  for (std::uint32_t cid = 0; cid < clients_.size(); ++cid) {
-    NodeState* home = clients_[cid];
-    OpMessage b;
-    b.kind = OpMessage::Kind::barrier;
-    b.path = config_.root.str();
-    b.client_id = cid;
-    b.epoch = e;
-    b.timestamp = sim_.now();
-    bus_->publish(home->node, home->topic_handle, std::move(b));
-    client_epochs_[cid] = e + 1;
-  }
-  ++barriers_run_;
-  barrier_inflight_epoch_ = e;
-  const bool ok = co_await epochs_.wait_all_drained(e);
-  barrier_inflight_epoch_.reset();
-  sim_.trace_note_lazy([&] {
-    return (ok ? "barrier-drained epoch=" : "barrier-aborted epoch=") + std::to_string(e);
-  });
-  span.finish(ok ? "drained" : "aborted");
-  co_return BarrierResult{e, ok};
-}
-
 sim::Task<FsResult<void>> ConsistentRegion::rmdir(net::NodeId from, std::uint32_t client,
                                                   const fs::Path& path, obs::SpanId parent) {
   (void)client;
   auto perm = co_await check_permission(from, path.parent(), fs::Access::write, parent);
   if (!perm) co_return perm;
-
-  for (std::size_t attempt = 0;; ++attempt) {
-    const BarrierResult barrier = co_await run_barrier(from, parent);
-    if (!barrier.ok) {
-      // A participant's commit process crashed mid-epoch. Close the epoch
-      // (its surviving ops redeliver from the WAL after restart) and replay
-      // the whole barrier; the replayed one covers the redelivered ops.
-      epochs_.complete_epoch(barrier.epoch);
-      barrier_mutex_.unlock();
-      if (attempt + 1 >= config_.barrier_retry_limit) co_return fs::fail(FsError::io);
-      co_await sim_.delay(config_.barrier_retry_delay);
-      continue;
-    }
-    FsResult<void> result = fs::fail(FsError::io);
-    bool transient = false;
-    try {
-      // sync commit (Table I)
-      result = co_await state_for(from).dfs_client->rmdir(path, parent);
-    } catch (const net::RpcError&) {
-      // Transport failure (MDS down / message lost): keep the epoch/mutex
-      // bookkeeping intact and replay the barrier + rmdir after a delay.
-      transient = true;
-    }
-    if (result) {
-      ++invalidation_epoch_;
-      drop_dfs_dentries();
-      // Clean the cached subtree (paper: recursive removing cleans the cache).
-      const std::string prefix = subtree_prefix(path);
-      for (std::size_t s = 0; s < cache_->server_count(); ++s) {
-        auto& server = cache_->server_on(config_.nodes[s]);
-        for (const auto& key : server.keys_with_prefix(prefix)) {
-          server.apply(kv::KvRequest{kv::KvRequest::Op::del, key, {}, 0, 0});
+  // Barrier, then a synchronous commit (Table I).
+  co_return co_await pipeline_.after_barrier<void>(
+      from, parent, [&]() -> sim::Task<FsResult<void>> {
+        FsResult<void> result = co_await member(from).dfs->rmdir(path, parent);
+        if (result) {
+          ++invalidation_epoch_;
+          drop_dfs_dentries();
+          // Clean the cached subtree (paper: recursive removing cleans the cache).
+          purge_cached_subtree(path);
         }
-        server.apply(kv::KvRequest{kv::KvRequest::Op::del, path.str(), {}, 0, 0});
-      }
-    }
-    epochs_.complete_epoch(barrier.epoch);
-    barrier_mutex_.unlock();
-    if (transient) {
-      if (attempt + 1 >= config_.barrier_retry_limit) co_return fs::fail(FsError::io);
-      co_await sim_.delay(config_.barrier_retry_delay);
-      continue;
-    }
-    if (!result) co_return fs::fail(result.error());
-    co_return FsResult<void>{};
-  }
+        co_return result;
+      });
 }
 
 sim::Task<FsResult<std::vector<fs::DirEntry>>> ConsistentRegion::readdir(
@@ -605,31 +418,8 @@ sim::Task<FsResult<std::vector<fs::DirEntry>>> ConsistentRegion::readdir(
   if (!perm) co_return fs::fail(perm.error());
   // Barrier, then delegate to the DFS: avoids a full cache-table scan and is
   // correct because all earlier operations have been committed (Table I).
-  for (std::size_t attempt = 0;; ++attempt) {
-    const BarrierResult barrier = co_await run_barrier(from, parent);
-    if (!barrier.ok) {
-      epochs_.complete_epoch(barrier.epoch);
-      barrier_mutex_.unlock();
-      if (attempt + 1 >= config_.barrier_retry_limit) co_return fs::fail(FsError::io);
-      co_await sim_.delay(config_.barrier_retry_delay);
-      continue;
-    }
-    FsResult<std::vector<fs::DirEntry>> entries = fs::fail(FsError::io);
-    bool transient = false;
-    try {
-      entries = co_await reader_dfs(from).readdir(path, parent);
-    } catch (const net::RpcError&) {
-      transient = true;
-    }
-    epochs_.complete_epoch(barrier.epoch);
-    barrier_mutex_.unlock();
-    if (transient) {
-      if (attempt + 1 >= config_.barrier_retry_limit) co_return fs::fail(FsError::io);
-      co_await sim_.delay(config_.barrier_retry_delay);
-      continue;
-    }
-    co_return entries;
-  }
+  co_return co_await pipeline_.after_barrier<std::vector<fs::DirEntry>>(
+      from, parent, [&] { return reader_dfs(from).readdir(path, parent); });
 }
 
 // ---- File data -------------------------------------------------------------------
@@ -642,7 +432,7 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
                                                            obs::SpanId parent) {
   auto perm = co_await check_permission(from, path, fs::Access::write, parent);
   if (!perm) co_return fs::fail(perm.error());
-  dfs::DfsClient& io = *state_for(from).dfs_client;
+  dfs::DfsClient& io = *member(from).dfs;
 
   for (;;) {
     const auto cur = co_await cache_->get(from, path.str(), path.hash(), parent);
@@ -684,14 +474,14 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
         if (spill > 0) {
           auto spilled = co_await io.write(path, 0, spill, parent);
           if (!spilled && spilled.error() == FsError::not_found) {
-            co_await sim_.delay(config_.commit_retry_delay);
+            co_await sim_.delay(kCommitRetryDelay);
             continue;
           }
         }
         auto wrote = co_await io.write(path, offset, length, parent);
         if (wrote) break;
         if (wrote.error() != FsError::not_found) co_return fs::fail(wrote.error());
-        co_await sim_.delay(config_.commit_retry_delay);  // create not committed yet
+        co_await sim_.delay(kCommitRetryDelay);  // create not committed yet
       }
       // Reflect the new size for cached readers (best effort, CAS-raced).
       co_return length;
@@ -708,10 +498,9 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::write(net::NodeId from,
     op.kind = OpMessage::Kind::write_data;
     op.path = path.str();
     op.size = new_size;
-    op.creds = config_.creds;
     if (config_.async_commit) {
-      co_await sim_.delay(config_.queue_publish_cpu);
-      publish(client, op, parent);
+      co_await sim_.delay(kQueuePublishCpu);
+      pipeline_.publish(client, std::move(op), parent);
     } else {
       auto wrote = co_await io.write(path, 0, new_size, parent);
       if (!wrote) co_return fs::fail(wrote.error());
@@ -739,255 +528,31 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::read(net::NodeId from, cons
 sim::Task<FsResult<void>> ConsistentRegion::fsync(net::NodeId from, const fs::Path& path,
                                                   obs::SpanId parent) {
   const auto cur = co_await cache_->get(from, path.str(), path.hash(), parent);
-  NodeState& state = state_for(from);
+  Member& node = member(from);
   if (cur.status == kv::KvStatus::unreachable) {
     // Degraded pass-through: delegate durability to the DFS.
     note_degraded(parent);
-    co_return co_await state.dfs_client->fsync(path, parent);
+    co_return co_await node.dfs->fsync(path, parent);
   }
   std::optional<CachedMeta> meta;
   if (cur.status == kv::KvStatus::ok) meta = decode_meta(cur.value);
   if (!meta || meta->removed) co_return fs::fail(FsError::not_found);
-  if (pending_contains(path.hash())) {
+  if (pipeline_.has_pending(path.hash())) {
     // The file's create (or data) has not committed yet: durability comes
     // from a direct-I/O write of the inline payload into a node-local cache
     // file; it is written back once the create lands (Section III.D.2).
-    co_await state.spill_disk->write(std::max<std::uint64_t>(meta->inline_bytes, 512));
+    co_await node.spill_disk->write(std::max<std::uint64_t>(meta->inline_bytes, 512));
     co_return FsResult<void>{};
   }
-  co_return co_await state.dfs_client->fsync(path, parent);
-}
-
-// ---- Commit machinery ------------------------------------------------------------
-
-sim::Task<> ConsistentRegion::sorter_loop(NodeState& node) {
-  // Sorter half: consumes the node's commit queue without ever blocking on
-  // epoch state, so barrier messages are always seen promptly even while the
-  // committer is held at an epoch boundary. The sorter is client-side queue
-  // infrastructure: it survives commit-process crashes, and its WAL append
-  // is what makes a consumed-but-uncommitted op redeliverable.
-  for (;;) {
-    auto msg = co_await node.queue->recv();
-    if (!msg) break;
-    if (is_barrier(*msg)) {
-      if (msg->epoch < epochs_.current_epoch()) continue;  // aborted epoch's stragglers
-      auto& seen = node.barrier_seen[msg->epoch];
-      if (++seen == node.client_count) {
-        node.barrier_seen.erase(msg->epoch);
-        // Forward a single sentinel; per-publisher FIFO guarantees every
-        // epoch-e operation from this node's clients precedes it.
-        (void)node.ordered->try_send(OpMessage{*msg});
-      }
-      continue;
-    }
-    // Durable before visible: once logged, a crash between here and the
-    // DFS apply replays the op (at-least-once).
-    node.wal->append(*msg);
-    (void)node.ordered->try_send(std::move(*msg));
-  }
-  node.ordered->close();
-}
-
-sim::Task<> ConsistentRegion::committer_loop(NodeState& node) {
-  const std::uint64_t generation = node.commit_generation;
-  // Redeliver the WAL backlog first: ops a previous incarnation consumed
-  // from the queue but never acknowledged. Already-applied ops are filtered
-  // by their idempotency id (the acked set) or absorbed as EEXIST replays.
-  for (OpMessage replay : node.wal->unacked()) {
-    if (node.commit_generation != generation) co_return;
-    ++redelivered_ops_;
-    redelivered_ctr_.add();
-    sim_.trace_note_lazy([&] {
-      return "redeliver op=" + std::to_string(replay.op_id) + " path=" + replay.path;
-    });
-    // The replayed apply nests under a "wal.replay" span which itself hangs
-    // off the op's original (still-open) commit span, so a trace shows the
-    // crash-and-redeliver detour inside the one logical operation.
-    obs::Span replay_span(replay.span != obs::kNoSpan ? sim_.tracer() : nullptr, "wal.replay",
-                          replay.span, node.node.value);
-    const bool applied = co_await apply_and_account(node, replay, generation, replay_span.id());
-    replay_span.finish(applied ? "ok" : "requeued");
-    if (node.commit_generation != generation) co_return;
-    if (!applied) {
-      ++node.retrying;
-      (void)node.retry_queue->try_send(std::move(replay));
-    }
-  }
-  for (;;) {
-    auto msg = co_await node.ordered->recv();
-    if (!msg) break;
-    if (node.commit_generation != generation) co_return;  // crashed while parked
-    if (is_barrier(*msg)) {
-      // A barrier may only be reported once every operation of its epoch --
-      // including ones parked for resubmission -- reached the DFS.
-      while (node.retrying > 0 && node.alive) {
-        co_await sim_.delay(config_.commit_retry_delay);
-        if (node.commit_generation != generation) co_return;
-      }
-      epochs_.node_reached_barrier(msg->epoch);
-      continue;
-    }
-    if (node.alive) co_await epochs_.wait_epoch_open(msg->epoch);
-    if (node.commit_generation != generation) co_return;
-    const bool applied = co_await apply_and_account(node, *msg, generation);
-    if (node.commit_generation != generation) co_return;
-    if (!applied) {
-      // Independent commit: park for resubmission; keep draining the queue
-      // (the op this one depends on may be right behind it).
-      ++node.retrying;
-      (void)node.retry_queue->try_send(std::move(*msg));
-    }
-  }
-}
-
-sim::Task<> ConsistentRegion::retry_loop(NodeState& node) {
-  const std::uint64_t generation = node.commit_generation;
-  for (;;) {
-    auto msg = co_await node.retry_queue->recv();
-    if (!msg) break;
-    if (node.commit_generation != generation) co_return;
-    for (std::size_t attempt = 0;; ++attempt) {
-      ++commit_retries_;
-      retries_ctr_.add();
-      if (obs::Tracer* tracer = sim_.tracer(); tracer != nullptr && msg->span != obs::kNoSpan) {
-        tracer->event(msg->span, "commit_retry", "attempt=" + std::to_string(attempt + 1));
-      }
-      co_await sim_.delay(config_.commit_retry.backoff(attempt, rng_));
-      if (node.commit_generation != generation) co_return;
-      const bool applied = co_await apply_and_account(node, *msg, generation);
-      if (node.commit_generation != generation) co_return;
-      if (applied) break;
-    }
-    --node.retrying;
-  }
-}
-
-sim::Task<bool> ConsistentRegion::apply_and_account(NodeState& node, const OpMessage& msg,
-                                                    std::uint64_t generation,
-                                                    obs::SpanId span_override) {
-  obs::Tracer* const tracer = sim_.tracer();
-  if (node.wal->acked(msg.op_id)) {
-    // Idempotency-id dedup: a redelivered copy of an op that already reached
-    // the DFS. Applied exactly once overall; nothing left to account.
-    ++duplicate_deliveries_;
-    if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "committed");
-    co_return true;
-  }
-  if (!node.alive || msg.op_id <= restore_fence_) {
-    // Dead node: the op is lost (restore() repairs); account it out. An op
-    // published before a restore belongs to the window the restore rolled
-    // back: committing it would resurrect it on the DFS only, or retry for
-    // ever once its parent directory is gone.
-    node.wal->ack(msg.op_id);
-    pending_decrement(msg);
-    if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "discarded");
-    co_return true;
-  }
-  FsError status = FsError::io;
-  {
-    // The DFS apply is a child of the commit span -- unless this is a WAL
-    // redelivery, whose "wal.replay" span takes over as the parent.
-    const obs::SpanId apply_parent = span_override != obs::kNoSpan ? span_override : msg.span;
-    obs::Span apply_span(apply_parent != obs::kNoSpan ? tracer : nullptr, "dfs.apply",
-                         apply_parent, node.node.value);
-    try {
-      status = co_await apply_once(node, msg, apply_span.id());
-    } catch (const net::RpcError&) {
-      status = FsError::io;  // node or fabric failure mid-commit
-    }
-    apply_span.finish(status == FsError::ok || status == FsError::exists ? "ok" : "error");
-  }
-  if (node.commit_generation != generation) {
-    // Crashed mid-apply: whatever the DFS did is not acknowledged, so the op
-    // redelivers on restart -- the at-least-once window idempotent replay
-    // absorbs. Report success so the (dead) caller does not re-park it.
-    // The commit span stays open; the redelivered copy closes it.
-    co_return true;
-  }
-  if (!node.alive) {
-    node.wal->ack(msg.op_id);
-    pending_decrement(msg);
-    if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "discarded");
-    co_return true;
-  }
-  if (status == FsError::ok || status == FsError::exists) {
-    // exists = an idempotent replay (e.g. recovery re-commit); accept.
-    ++committed_ops_;
-    committed_ctr_.add();
-    node.wal->ack(msg.op_id);
-    pending_decrement(msg);
-    if (tracer != nullptr && msg.span != obs::kNoSpan) tracer->end_span(msg.span, "committed");
-    sim_.trace_note_lazy([&] {
-      return "commit op=" + std::to_string(msg.op_id) + " kind=" + to_string(msg.kind) +
-             " path=" + msg.path + " node=" + std::to_string(node.node.value);
-    });
-    co_return true;
-  }
-  if (status == FsError::not_found || status == FsError::not_a_directory) {
-    // Self-heal: a trusted directory dentry on the op's path may be stale (a
-    // workspace directory replaced behind the region's back). Resubmitting
-    // through it would fail forever; the retry walks the path afresh.
-    node.dfs_client->forget(fs::Path::parse(msg.path));
-  }
-  sim_.trace_note_lazy([&] {
-    return "commit-retry op=" + std::to_string(msg.op_id) + " path=" + msg.path;
-  });
-  co_return false;
-}
-
-sim::Task<FsError> ConsistentRegion::apply_once(NodeState& node, const OpMessage& msg,
-                                                obs::SpanId span) {
-  dfs::DfsClient& io = *node.dfs_client;
-  const fs::Path path = fs::Path::parse(msg.path);
-  switch (msg.kind) {
-    case OpMessage::Kind::mkdir: {
-      auto r = co_await io.mkdir(path, msg.mode, span);
-      co_return r ? FsError::ok : r.error();
-    }
-    case OpMessage::Kind::create: {
-      auto r = co_await io.create(path, msg.mode, span);
-      co_return r ? FsError::ok : r.error();
-    }
-    case OpMessage::Kind::remove: {
-      auto r = co_await io.unlink(path, span);
-      if (r || r.error() == FsError::not_found) {
-        // Applied (or already gone): drop the marked cache entry now.
-        (void)co_await cache_->del(node.node, msg.path, path.hash(), span);
-        co_return FsError::ok;
-      }
-      co_return r.error();
-    }
-    case OpMessage::Kind::write_data: {
-      auto r = co_await io.write(path, 0, msg.size, span);
-      if (!r && r.error() == FsError::not_found) {
-        // Either the create has not committed yet (retry) or another node's
-        // remove already won (drop: a removed file's backup needs no data).
-        auto meta = co_await cache_get(node.node, path, span);
-        if (!meta || meta->removed) co_return FsError::ok;
-        co_return FsError::not_found;
-      }
-      co_return r ? FsError::ok : r.error();
-    }
-    case OpMessage::Kind::barrier:
-      co_return FsError::ok;  // handled by the committer directly
-  }
-  co_return FsError::unsupported;
+  co_return co_await node.dfs->fsync(path, parent);
 }
 
 // ---- drain / checkpoint / restore ---------------------------------------------
 
-sim::Task<> ConsistentRegion::drain(std::uint32_t client) {
-  (void)client;
-  while (pending_total_ > 0) {
-    drained_gate_.reset();
-    co_await drained_gate_.wait();
-  }
-}
-
 sim::Task<FsResult<std::uint64_t>> ConsistentRegion::checkpoint(std::uint32_t client) {
   co_await drain(client);
   const std::uint64_t id = next_checkpoint_id_++;
-  dfs::DfsClient& io = *node_states_.front()->dfs_client;
+  dfs::DfsClient& io = *members_.front().dfs;
   const fs::Path dest = checkpoint_path(id);
   (void)co_await io.mkdir(fs::Path::parse("/.pacon"), fs::FileMode::dir_default());
   auto copied = co_await copy_subtree(io, config_.root, dest);
@@ -997,11 +562,11 @@ sim::Task<FsResult<std::uint64_t>> ConsistentRegion::checkpoint(std::uint32_t cl
 }
 
 sim::Task<FsResult<void>> ConsistentRegion::restore(std::uint64_t id) {
-  dfs::DfsClient& io = *node_states_.front()->dfs_client;
+  dfs::DfsClient& io = *members_.front().dfs;
   const fs::Path src = checkpoint_path(id);
   auto exists = co_await io.getattr(src);
   if (!exists) co_return fs::fail(FsError::not_found);
-  restore_fence_ = next_op_id_;
+  pipeline_.fence();
   // Roll the workspace subtree back to the checkpoint. The first removal
   // makes the cache, parent hints and in-flight parent checks stale, and a
   // later step may fail or throw: invalidate before starting, so no exit can
@@ -1015,43 +580,31 @@ sim::Task<FsResult<void>> ConsistentRegion::restore(std::uint64_t id) {
   co_return FsResult<void>{};
 }
 
-void ConsistentRegion::invalidate_workspace_state() {
-  // Rebuild = drop the (possibly inconsistent) cached state; it reloads
-  // lazily from the DFS.
-  const std::string prefix = subtree_prefix(config_.root);
+void ConsistentRegion::purge_cached_subtree(const fs::Path& dir) {
+  const std::string prefix = subtree_prefix(dir);
   for (const auto node : config_.nodes) {
-    if (!fabric_.node_up(node)) continue;
     auto& server = cache_->server_on(node);
     for (const auto& key : server.keys_with_prefix(prefix)) {
       server.apply(kv::KvRequest{kv::KvRequest::Op::del, key, {}, 0, 0});
     }
-    server.apply(kv::KvRequest{kv::KvRequest::Op::del, config_.root.str(), {}, 0, 0});
+    server.apply(kv::KvRequest{kv::KvRequest::Op::del, dir.str(), {}, 0, 0});
   }
+}
+
+void ConsistentRegion::invalidate_workspace_state() {
+  // Rebuild = drop the (possibly inconsistent) cached state; it reloads
+  // lazily from the DFS.
+  purge_cached_subtree(config_.root);
   drop_dfs_dentries();
   ++invalidation_epoch_;
 }
 
 void ConsistentRegion::detach_failed_node(net::NodeId failed) {
-  auto it = std::find_if(node_states_.begin(), node_states_.end(),
-                         [failed](const auto& s) { return s->node == failed; });
-  if (it == node_states_.end()) return;
-  NodeState& state = **it;
-  if (!state.alive) return;
-  state.alive = false;
-  // The node's uncommitted operations are lost (the damage restore()
-  // repairs). The commit machinery stays attached and discards everything it
-  // drains -- including deliveries still in flight on the wire -- through
-  // the dead-node path in apply_and_account, which keeps the pending
-  // accounting exact so drain() stays live.
+  Member* member = find_member(failed);
+  if (member == nullptr || !member->commit->node_lost()) return;
   // Keys the dead cache server held are gone; take it out of the ring so
   // the remaining servers own the keyspace (entries rebuild from the DFS).
   cache_->remove_server(failed);
-  // A barrier waiting on this node's report would hang forever: abort it so
-  // the dependent op replays against the surviving membership.
-  if (barrier_inflight_epoch_ && state.client_count > 0) {
-    ++barrier_aborts_;
-    epochs_.abort_epoch(*barrier_inflight_epoch_);
-  }
 }
 
 sim::Task<FsResult<void>> ConsistentRegion::recover_from_node_failure(net::NodeId failed) {
@@ -1069,53 +622,6 @@ void ConsistentRegion::node_recovered(net::NodeId node) {
   // Conservative latch reset: a rejoined cache node ends the degraded
   // window (new ops route to live servers again).
   degraded_gauge_.set(0);
-}
-
-void ConsistentRegion::crash_commit_process(net::NodeId node_id) {
-  NodeState& node = state_for(node_id);
-  if (!node.commit_running || !node.alive) return;
-  node.commit_running = false;
-  ++node.commit_generation;
-  ++commit_crashes_;
-  node.retrying = 0;
-  node.barrier_seen.clear();
-  // The committer and retry worker die with their channels: whatever they
-  // held in flight stays unacknowledged in the WAL and redelivers on
-  // restart. The channels are closed (waking parked loops, which observe
-  // the bumped generation and exit) but parked in a graveyard rather than
-  // destructed under a suspended waiter.
-  node.ordered->close();
-  node.retry_queue->close();
-  node.dead_channels.push_back(std::move(node.ordered));
-  node.dead_channels.push_back(std::move(node.retry_queue));
-  node.ordered = std::make_unique<sim::Channel<OpMessage>>(sim_);
-  node.retry_queue = std::make_unique<sim::Channel<OpMessage>>(sim_);
-  sim_.trace_note_lazy([&] {
-    return "commit-crash node=" + std::to_string(node_id.value) +
-           " backlog=" + std::to_string(node.wal->backlog());
-  });
-  // A barrier mid-drain can no longer complete: this node's sentinel (or
-  // its report) died with the process.
-  if (barrier_inflight_epoch_ && node.client_count > 0) {
-    ++barrier_aborts_;
-    epochs_.abort_epoch(*barrier_inflight_epoch_);
-  }
-}
-
-void ConsistentRegion::restart_commit_process(net::NodeId node_id) {
-  NodeState& node = state_for(node_id);
-  if (node.commit_running || !node.alive) return;
-  node.commit_running = true;
-  sim_.trace_note_lazy([&] {
-    return "commit-restart node=" + std::to_string(node_id.value) +
-           " backlog=" + std::to_string(node.wal->backlog());
-  });
-  sim_.spawn(committer_loop(node));
-  sim_.spawn(retry_loop(node));
-}
-
-bool ConsistentRegion::commit_process_running(net::NodeId node_id) {
-  return state_for(node_id).commit_running;
 }
 
 // ---- Eviction ----------------------------------------------------------------------
@@ -1170,16 +676,16 @@ sim::Task<std::uint64_t> ConsistentRegion::evict_subtree(const std::string& vict
     if (!fabric_.node_up(node)) continue;
     auto& server = cache_->server_on(node);
     for (const auto& key : server.keys_with_prefix(sub)) {
-      if (pending_contains(sim::Rng::hash(key))) continue;  // only committed entries
+      if (pipeline_.has_pending(sim::Rng::hash(key))) continue;  // only committed entries
       server.apply(kv::KvRequest{kv::KvRequest::Op::del, key, {}, 0, 0});
       ++evicted;
     }
-    if (!pending_contains(sim::Rng::hash(victim))) {
+    if (!pipeline_.has_pending(sim::Rng::hash(victim))) {
       const auto r = server.apply(kv::KvRequest{kv::KvRequest::Op::del, victim, {}, 0, 0});
       if (r.status == kv::KvStatus::ok) ++evicted;
     }
   }
-  evicted_entries_ += evicted;
+  evicted_.add(evicted);
   // Eviction is a background management sweep; charge a nominal CPU cost.
   co_await sim_.delay(1_us + evicted * 200);
   co_return evicted;

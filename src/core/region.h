@@ -5,10 +5,9 @@
 //   * the distributed in-memory metadata cache (Memcached-like servers on
 //     the application's own nodes, keyed by full path over a DHT) -- the
 //     strongly-consistent primary copy;
-//   * per-node commit queues (pub/sub) and commit processes that apply
-//     operations to the underlying DFS -- the asynchronously-updated backup
-//     copy -- using independent commit with resubmission for non-dependent
-//     operations and barrier-epoch commit for dependent ones;
+//   * the commit pipeline (core/commit_pipeline.h): per-node commit queues
+//     and commit processes that apply operations to the underlying DFS --
+//     the asynchronously-updated backup copy;
 //   * the batch permission table;
 //   * round-robin eviction of committed subtrees under cache pressure;
 //   * subtree checkpoint / rollback for client-node failure recovery.
@@ -17,6 +16,7 @@
 // on paths inside the workspace through it.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -24,18 +24,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/commit_wal.h"
-#include "core/epoch.h"
+#include "core/commit_pipeline.h"
 #include "core/meta_entry.h"
-#include "core/op_message.h"
 #include "core/permission.h"
 #include "dfs/client.h"
 #include "dfs/cluster.h"
 #include "fs/error.h"
 #include "fs/path.h"
 #include "kv/memcache.h"
-#include "net/pubsub.h"
-#include "net/retry.h"
 #include "obs/span_id.h"
 #include "sim/disk.h"
 #include "sim/metrics.h"
@@ -82,31 +78,8 @@ struct RegionConfig {
   /// How often the evictor checks pressure.
   sim::SimDuration eviction_period = 50_ms;
   EvictionPolicy eviction_policy = EvictionPolicy::round_robin;
-  /// Backoff between commit resubmissions (independent commit retries).
-  sim::SimDuration commit_retry_delay = 200_us;
-  /// Backoff schedule for the commit retry worker: exponential with
-  /// deterministic jitter from the region's forked rng stream; max_attempts
-  /// is ignored (independent commit resubmits until the DFS accepts,
-  /// Section III.E.1). base_delay defaults to commit_retry_delay's value.
-  net::RetryPolicy commit_retry{.max_attempts = 0,
-                                .base_delay = 200_us,
-                                .multiplier = 2.0,
-                                .max_delay = 2'000_us,
-                                .jitter_frac = 0.25};
-  /// Pause before replaying a barrier whose epoch was aborted by a
-  /// commit-process crash, and how many replays to attempt before the
-  /// dependent op fails with FsError::io.
-  sim::SimDuration barrier_retry_delay = 500_us;
-  std::size_t barrier_retry_limit = 64;
-  /// Group-commit cadence of the per-node commit WAL.
-  sim::SimDuration wal_flush_period = 100_us;
   /// Normal permission of the workspace; defaults to creator-private rwx.
   PermissionSpec normal_permission{};
-  /// CPU cost of a local (client-side) batch permission match.
-  sim::SimDuration permission_check_cpu = 400_ns;
-  /// Caller-side cost of pushing one operation message into the commit
-  /// queue (serialization + the ZeroMQ-style socket write).
-  sim::SimDuration queue_publish_cpu = 12_us;
 };
 
 class ConsistentRegion {
@@ -127,7 +100,9 @@ class ConsistentRegion {
 
   /// Registers a client process running on `node`; returns its region-wide
   /// client id (used for barrier accounting).
-  std::uint32_t register_client(net::NodeId node);
+  std::uint32_t register_client(net::NodeId node) {
+    return pipeline_.register_client(*member(node).commit);
+  }
 
   // ---- Metadata operations (invoked by Pacon clients) -------------------
   //
@@ -173,7 +148,7 @@ class ConsistentRegion {
   // ---- Region management --------------------------------------------------
 
   /// Waits until every operation published so far is applied to the DFS.
-  sim::Task<> drain(std::uint32_t client);
+  sim::Task<> drain(std::uint32_t /*client*/) { return pipeline_.drain(); }
 
   /// Copies the workspace subtree on the DFS into a checkpoint; returns its
   /// id (paper Section III.G). Implies a drain.
@@ -204,36 +179,31 @@ class ConsistentRegion {
   /// held die with it; the sorter and WAL survive (client-side queue
   /// infrastructure), so everything unacknowledged replays on restart. An
   /// in-flight barrier this node participates in is aborted.
-  void crash_commit_process(net::NodeId node);
+  void crash_commit_process(net::NodeId node) { member(node).commit->crash(); }
 
   /// Restarts a crashed commit process. It first redelivers the WAL backlog
   /// (at-least-once; already-acked ops are skipped), then resumes draining
   /// the queue.
-  void restart_commit_process(net::NodeId node);
+  void restart_commit_process(net::NodeId node) { member(node).commit->restart(); }
 
   /// True while `node`'s commit process is running.
-  bool commit_process_running(net::NodeId node);
+  bool commit_process_running(net::NodeId node) { return member(node).commit->running(); }
 
   // ---- Introspection -------------------------------------------------------
 
-  std::uint64_t pending_commits() const { return pending_total_; }
-  std::uint64_t committed_ops() const { return committed_ops_; }
-  std::uint64_t commit_retries() const { return commit_retries_; }
-  std::uint64_t evicted_entries() const { return evicted_entries_; }
-  std::uint64_t barriers_run() const { return barriers_run_; }
-  std::uint64_t commit_crashes() const { return commit_crashes_; }
-  std::uint64_t barrier_aborts() const { return barrier_aborts_; }
+  // Each counter below reads its registry counter under "region.<root>".
+  std::uint64_t pending_commits() const { return pipeline_.pending_commits(); }
+  std::uint64_t committed_ops() const { return pipeline_.committed_ops(); }
+  std::uint64_t commit_retries() const { return pipeline_.commit_retries(); }
+  std::uint64_t evicted_entries() const { return evicted_.value(); }
+  std::uint64_t barriers_run() const { return pipeline_.barriers_run(); }
+  std::uint64_t commit_crashes() const { return pipeline_.commit_crashes(); }
+  std::uint64_t barrier_aborts() const { return pipeline_.barrier_aborts(); }
   /// Ops replayed from a WAL after a commit-process restart.
-  std::uint64_t redelivered_ops() const { return redelivered_ops_; }
-  /// Redelivered ops that were already acknowledged (idempotency-id dedup
-  /// hits: the op reached the committer twice but the DFS only once... or
-  /// twice with EEXIST absorbed -- either way applied effectively once).
-  std::uint64_t duplicate_deliveries() const { return duplicate_deliveries_; }
+  std::uint64_t redelivered_ops() const { return pipeline_.redelivered_ops(); }
   /// Ops that fell back to synchronous DFS commit because the cache was
   /// unreachable (degraded pass-through mode).
-  std::uint64_t degraded_ops() const { return degraded_ops_; }
-  /// Newest checkpoint id, or 0 when none was taken yet.
-  std::uint64_t latest_checkpoint() const { return last_checkpoint_id_; }
+  std::uint64_t degraded_ops() const { return degraded_.value(); }
 
   /// Bumped whenever anything is removed from the region (remove, rmdir, a
   /// checkpoint restore); clients gate their local parent-existence hints on
@@ -242,18 +212,18 @@ class ConsistentRegion {
 
   /// True while `path` has at least one queued-but-uncommitted operation.
   bool has_pending(const std::string& path) const {
-    return pending_contains(sim::Rng::hash(path));
+    return pipeline_.has_pending(sim::Rng::hash(path));
   }
 
   /// Distinct path hashes with queued-but-uncommitted operations
   /// (diagnostics / tests; bounded by in-flight ops, not namespace size).
-  std::size_t pending_paths() const { return pending_by_hash_.size(); }
+  std::size_t pending_paths() const { return pipeline_.pending_paths(); }
 
   /// Parent checks currently in flight across all nodes (diagnostics / tests;
   /// each leader erases its entry when it settles).
   std::size_t parent_checks_in_flight() const {
     std::size_t n = 0;
-    for (const auto& node : node_states_) n += node->parent_checks.size();
+    for (const Member& member : members_) n += member.parent_checks.size();
     return n;
   }
 
@@ -266,40 +236,16 @@ class ConsistentRegion {
     std::shared_ptr<sim::OneShot<fs::FsError>> verdict;
   };
 
-  struct NodeState {
+  struct Member {
     net::NodeId node;
-    /// Commit-queue topic name and its pre-resolved bus handle: both are
-    /// fixed for the region's lifetime, so publish paths never rebuild the
-    /// topic string or re-walk the bus's topic map.
-    std::string topic;
-    net::PubSubBus<OpMessage>::TopicHandle topic_handle = nullptr;
-    std::shared_ptr<net::PubSubBus<OpMessage>::Subscription> queue;
-    std::unique_ptr<dfs::DfsClient> dfs_client;
-    /// Sorted operation stream between the sorter and committer halves of
-    /// the commit process (barrier sentinels included).
-    std::unique_ptr<sim::Channel<OpMessage>> ordered;
-    /// Failed commits awaiting resubmission; a separate worker retries them
-    /// so one rejected operation never head-of-line blocks the queue.
-    std::unique_ptr<sim::Channel<OpMessage>> retry_queue;
-    std::uint64_t retrying = 0;
+    /// The node's DFS client: its commit process commits through it, and its
+    /// clients' synchronous DFS calls go through it too.
+    std::unique_ptr<dfs::DfsClient> dfs;
     /// Node-local device for direct-I/O spill files (fsync of files whose
     /// create has not committed; Section III.D.2).
     std::unique_ptr<sim::SimDisk> spill_disk;
-    /// Commit WAL and its dedicated device (modelled separately from the
-    /// spill disk so log flushes never queue behind spill I/O).
-    std::unique_ptr<sim::SimDisk> wal_disk;
-    std::unique_ptr<CommitWal> wal;
-    std::uint32_t client_count = 0;
-    std::unordered_map<std::uint64_t, std::size_t> barrier_seen;  // epoch -> count
-    bool alive = true;
-    /// Commit-process incarnation. Bumped on crash; the committer and retry
-    /// loops capture it at spawn and exit as soon as it moves on, so a loop
-    /// woken from a pre-crash channel never applies post-crash work.
-    std::uint64_t commit_generation = 0;
-    bool commit_running = true;
-    /// Channels closed by a crash are parked here, not destructed: loops may
-    /// still be suspended in their wait queues until the close wakes them.
-    std::vector<std::unique_ptr<sim::Channel<OpMessage>>> dead_channels;
+    /// The node's commit process (owned by pipeline_).
+    CommitPipeline::Process* commit = nullptr;
     /// Parent-existence checks in flight from this node's clients, keyed by
     /// the parent's exact path (a hash collision would hand one directory's
     /// verdict to another). A later check of the same parent waits for the
@@ -335,57 +281,22 @@ class ConsistentRegion {
   sim::Task<std::optional<CachedMeta>> cache_get(net::NodeId from, const fs::Path& path,
                                                  obs::SpanId span = obs::kNoSpan);
 
-  /// Publishes `msg` on `client`'s node queue. A traced caller (`parent`)
-  /// gets a "commit" span opened here and carried inside the message; it
-  /// stays open across the pub/sub hop (and any WAL redelivery) until
-  /// apply_and_account closes it with the op's fate.
-  void publish(std::uint32_t client, OpMessage msg, obs::SpanId parent = obs::kNoSpan);
-
   /// Degraded pass-through bookkeeping: counter + latch gauge + a tagged
   /// event on the traced caller's span.
   void note_degraded(obs::SpanId span);
 
-  struct BarrierResult {
-    std::uint64_t epoch = 0;
-    /// False when the barrier was aborted (commit-process crash mid-epoch):
-    /// the caller must complete the epoch and replay the barrier before
-    /// running its dependent op.
-    bool ok = true;
-  };
-
-  /// Runs one barrier: all clients emit barrier messages; waits until every
-  /// commit process drained the epoch (or the epoch aborts).
-  sim::Task<BarrierResult> run_barrier(net::NodeId from, obs::SpanId parent = obs::kNoSpan);
-
-  sim::Task<> sorter_loop(NodeState& node);
-  sim::Task<> committer_loop(NodeState& node);
-  sim::Task<> retry_loop(NodeState& node);
-  /// One commit attempt incl. bookkeeping; false = needs resubmission.
-  /// `generation` is the commit-process incarnation the caller belongs to: a
-  /// crash mid-apply means the result is neither acked nor accounted (the op
-  /// redelivers -- the at-least-once window). `span_override` re-parents the
-  /// "dfs.apply" child span (WAL redelivery hangs the replayed apply under
-  /// its "wal.replay" span instead of directly under the commit span).
-  sim::Task<bool> apply_and_account(NodeState& node, const OpMessage& msg,
-                                    std::uint64_t generation,
-                                    obs::SpanId span_override = obs::kNoSpan);
-  sim::Task<fs::FsError> apply_once(NodeState& node, const OpMessage& msg,
-                                    obs::SpanId span = obs::kNoSpan);
-
-  NodeState& state_for(net::NodeId node);
+  /// The member running on `node`, or nullptr for a non-member.
+  Member* find_member(net::NodeId node);
+  Member& member(net::NodeId node) {
+    Member* found = find_member(node);
+    assert(found != nullptr && "operation issued from a non-member node");
+    return *found;
+  }
   /// DFS client for a read issued from `node`: the member node's own, or --
   /// for a reader that merged this region from another workspace -- one
   /// made on that node's first read here.
   dfs::DfsClient& reader_dfs(net::NodeId node);
   fs::Path checkpoint_path(std::uint64_t id) const;
-  /// Pending-commit bookkeeping keyed by path hash. Increment stamps the
-  /// hash into the message; decrement and the contains probes reuse it, so
-  /// the commit side never rehashes the path.
-  void pending_increment(OpMessage& msg);
-  void pending_decrement(const OpMessage& msg);
-  bool pending_contains(std::uint64_t hash) const {
-    return pending_by_hash_.find(hash) != pending_by_hash_.end();
-  }
 
   sim::Task<> evictor_loop();
   sim::Task<std::uint64_t> evict_subtree(const std::string& prefix);
@@ -394,9 +305,12 @@ class ConsistentRegion {
   sim::Task<fs::FsResult<void>> copy_subtree(dfs::DfsClient& io, const fs::Path& from,
                                              const fs::Path& to);
   sim::Task<fs::FsResult<void>> remove_subtree(dfs::DfsClient& io, const fs::Path& target);
-  /// Drops the workspace's cached entries on every live cache server and the
-  /// region's DFS dentries, and bumps invalidation_epoch_ (restore: the DFS
-  /// subtree is being replaced).
+  /// Deletes `dir` and every cached entry under it on every member's cache
+  /// server, down or not: an entry left on a down server would be served
+  /// again once the node rejoins.
+  void purge_cached_subtree(const fs::Path& dir);
+  /// Drops the workspace's cached entries and the region's DFS dentries, and
+  /// bumps invalidation_epoch_ (restore: the DFS subtree is being replaced).
   void invalidate_workspace_state();
   /// A DFS client for `node` that trusts its directory dentries (see
   /// dfs::DfsClientConfig::trust_dir_dentries); the region owns all of them.
@@ -405,44 +319,23 @@ class ConsistentRegion {
   /// workspace directory is removed or replaced on the DFS.
   void drop_dfs_dentries();
 
-  std::string node_topic(net::NodeId node) const;
-
   sim::Simulation& sim_;
   net::Fabric& fabric_;
   dfs::DfsCluster& dfs_;
   RegionConfig config_;
   PermissionTable permissions_;
+  /// "region.<root>" with '/' flattened to '_' (see DESIGN.md section 11).
+  sim::MetricScope metrics_;
 
   std::unique_ptr<kv::MemCacheCluster> cache_;
-  std::unique_ptr<net::PubSubBus<OpMessage>> bus_;
-  std::vector<std::unique_ptr<NodeState>> node_states_;
+  /// One per config_.nodes entry, in that order (reserved up front, so the
+  /// elements never move).
+  std::vector<Member> members_;
   /// DFS clients of non-member readers (merged regions), by node id.
   std::unordered_map<std::uint32_t, std::unique_ptr<dfs::DfsClient>> reader_dfs_clients_;
-  // Client ids are dense (next_client_id_++), so the per-client tables are
-  // plain vectors indexed by id: no hashing on the publish path, and the
-  // barrier broadcast iterates in deterministic id order for free.
-  std::vector<NodeState*> clients_;            // client id -> home node
-  std::vector<std::uint64_t> client_epochs_;   // client id -> current epoch
-
-  EpochCoordinator epochs_;
-  sim::Mutex barrier_mutex_;
-  /// Epoch of the barrier currently between broadcast and drained (guarded
-  /// by barrier_mutex_); crash paths abort it so the waiter can replay.
-  std::optional<std::uint64_t> barrier_inflight_epoch_;
-  /// Jitter stream for commit-retry backoff.
-  sim::Rng rng_;
-
-  // Pending-commit bookkeeping: paths with queued-but-uncommitted ops are
-  // protected from eviction; the drain() primitive waits on the total.
-  // Keyed by the path's 64-bit hash (stamped into the message at publish,
-  // reused on the commit side) and erased at zero, so the table stays
-  // bounded by in-flight ops and cache-hot regardless of namespace size --
-  // a create storm over millions of distinct paths never grows it. A hash
-  // collision between two concurrently-pending paths (~2^-64 per pair)
-  // only over-protects an entry from eviction; totals stay exact.
-  std::unordered_map<std::uint64_t, std::uint32_t> pending_by_hash_;
-  std::uint64_t pending_total_ = 0;
-  sim::Gate drained_gate_;
+  /// Declared after everything its commit processes use, so it shuts them
+  /// down first.
+  CommitPipeline pipeline_;
 
   // Round-robin eviction cursor (name of the last evicted root child).
   std::string eviction_cursor_;
@@ -450,32 +343,14 @@ class ConsistentRegion {
 
   std::uint64_t next_checkpoint_id_ = 1;
   std::uint64_t last_checkpoint_id_ = 0;
-  std::uint64_t next_op_id_ = 0;
-  /// Ops with an id up to this one were published before the latest restore
-  /// and are discarded uncommitted.
-  std::uint64_t restore_fence_ = 0;
-  std::uint32_t next_client_id_ = 0;
-  std::uint64_t committed_ops_ = 0;
   std::uint64_t invalidation_epoch_ = 0;
-  std::uint64_t commit_retries_ = 0;
-  std::uint64_t evicted_entries_ = 0;
-  std::uint64_t barriers_run_ = 0;
-  std::uint64_t commit_crashes_ = 0;
-  std::uint64_t barrier_aborts_ = 0;
-  std::uint64_t redelivered_ops_ = 0;
-  std::uint64_t duplicate_deliveries_ = 0;
-  std::uint64_t degraded_ops_ = 0;
 
-  // Scoped metric handles under "region.<root>" (see DESIGN.md section 11),
-  // resolved once at construction: registry lookups are string-keyed map
-  // walks, too slow for the per-op paths that update these.
-  sim::Gauge& queue_depth_gauge_;   // commit_queue_depth: queued-not-committed ops
-  sim::Gauge& degraded_gauge_;      // degraded_latch: 1 after any pass-through op
-  sim::Counter& committed_ctr_;
-  sim::Counter& retries_ctr_;
-  sim::Counter& redelivered_ctr_;
-  sim::Counter& degraded_ctr_;
-  sim::Counter& coalesced_ctr_;     // parent_checks_coalesced: checks that waited on a leader
+  // Metric handles, resolved once at construction: registry lookups are
+  // string-keyed map walks, too slow for the per-op paths that update these.
+  sim::Gauge& degraded_gauge_;   // degraded_latch: 1 after any pass-through op
+  sim::Counter& degraded_;       // degraded_ops
+  sim::Counter& evicted_;        // evicted_entries
+  sim::Counter& coalesced_;      // parent_checks_coalesced: checks that waited on a leader
 };
 
 }  // namespace pacon::core

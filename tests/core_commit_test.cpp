@@ -200,6 +200,8 @@ TEST(Barrier, RmdirWaitsForAllNodesToDrain) {
   }
   EXPECT_EQ(files, 200);
   EXPECT_GE(clients[3]->region().barriers_run(), 1u);
+  EXPECT_EQ(clients[3]->region().barriers_run(),
+            w.sim.metrics().counter("region._app.barriers_run").value());
 }
 
 TEST(Barrier, EpochsSequenceMultipleDependentOps) {
@@ -219,6 +221,8 @@ TEST(Barrier, EpochsSequenceMultipleDependentOps) {
     }
   }(*c0, *c1));
   EXPECT_GE(c0->region().barriers_run(), 10u);  // one readdir + one rmdir per round
+  EXPECT_EQ(c0->region().barriers_run(),
+            w.sim.metrics().counter("region._app.barriers_run").value());
 }
 
 TEST(Barrier, ReaddirObservesEveryPriorCreateAcrossNodes) {

@@ -425,6 +425,8 @@ TEST(Pacon, EvictionKeepsWorkingSetUsable) {
   EXPECT_GT(created.size(), 2000u);
   w.sim.run_for(1_s);  // let the evictor catch up
   EXPECT_GT(tight->region().evicted_entries(), 0u);
+  EXPECT_EQ(tight->region().evicted_entries(),
+            w.sim.metrics().counter("region._tight.evicted_entries").value());
   // Everything created is still reachable (evicted entries reload from DFS).
   sim::run_task(w.sim, [](Pacon& p, const std::vector<std::string>& made) -> Task<> {
     for (std::size_t i = 0; i < made.size(); i += 97) {

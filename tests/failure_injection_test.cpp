@@ -290,6 +290,10 @@ TEST(Failure, BarrierAbortMidRmdirReplaysCleanly) {
   EXPECT_EQ(c->region().commit_crashes(), 1u);
   EXPECT_GE(c->region().barrier_aborts(), 1u);
   EXPECT_GE(c->region().redelivered_ops(), 4u);
+  sim::MetricRegistry& metrics = w.sim.metrics();
+  EXPECT_EQ(c->region().commit_crashes(), metrics.counter("region._app.commit_crashes").value());
+  EXPECT_EQ(c->region().barrier_aborts(), metrics.counter("region._app.barrier_aborts").value());
+  EXPECT_EQ(c->region().redelivered_ops(), metrics.counter("region._app.redelivered_ops").value());
 }
 
 // At-least-once + idempotent replay: a commit-process crash with a full
@@ -331,6 +335,13 @@ TEST(Failure, CommitCrashRedeliversEveryOpExactlyOnce) {
   EXPECT_EQ(c->region().commit_crashes(), 1u);
   EXPECT_EQ(c->region().redelivered_ops(), 30u);
   EXPECT_EQ(c->region().committed_ops(), 31u);
+  sim::MetricRegistry& metrics = w.sim.metrics();
+  EXPECT_EQ(c->region().commit_crashes(), metrics.counter("region._app.commit_crashes").value());
+  EXPECT_EQ(c->region().redelivered_ops(), metrics.counter("region._app.redelivered_ops").value());
+  EXPECT_EQ(c->region().committed_ops(), metrics.counter("region._app.committed_ops").value());
+  // Nothing was acknowledged before the crash, so no redelivered op is a
+  // duplicate of an applied one.
+  EXPECT_EQ(metrics.counter("region._app.duplicate_deliveries").value(), 0u);
 }
 
 // Restore mid-commit: the rollback starts while node 1's committer still
@@ -434,6 +445,43 @@ TEST(Failure, RestoreDiscardsCommitsUnderARolledBackDirectory) {
   }(w, *c0, *c1, drained));
   w.sim.run_for(1_s);  // without the discard, six creates would still be retrying
   EXPECT_TRUE(drained);
+}
+
+// A restore taken while a cache node is down must still drop that node's
+// entries for the rolled-back window. The ring never marked the node suspect
+// (no request reached it during the outage), so its rejoin does not flush
+// it: without the purge its copy of a rolled-back create would be served
+// from the cache although the DFS no longer has the file.
+TEST(Failure, RestoreWhileCacheNodeDownDropsItsRolledBackEntries) {
+  World w;
+  auto c = w.make_client(0);
+  std::string victim;
+  for (int i = 0; i < 4096 && victim.empty(); ++i) {
+    std::string cand = "/app/gone" + std::to_string(i);
+    if (c->region().cache().ring().node_for(cand) == net::NodeId{1}) victim = cand;
+  }
+  ASSERT_FALSE(victim.empty());
+  sim::run_task(w.sim, [](World& world, Pacon& p, const std::string& victim) -> Task<> {
+    const Path vpath = Path::parse(victim);
+    auto ckpt = co_await p.checkpoint();
+    EXPECT_TRUE(ckpt.has_value());
+    if (!ckpt) co_return;
+    EXPECT_TRUE((co_await p.create(vpath, fs::FileMode::file_default())).has_value());
+    co_await p.drain();
+
+    world.fabric.set_node_down(net::NodeId{1}, true);
+    EXPECT_TRUE((co_await p.restore(*ckpt)).has_value());
+    world.fabric.set_node_down(net::NodeId{1}, false);
+    p.region().node_recovered(net::NodeId{1});
+
+    dfs::DfsClient probe(world.sim, world.dfs, net::NodeId{90'001});
+    EXPECT_FALSE((co_await probe.getattr(vpath)).has_value()) << "restore kept the create";
+    auto got = co_await p.getattr(vpath);
+    EXPECT_FALSE(got.has_value()) << "rolled-back create still served from the cache";
+    if (!got) {
+      EXPECT_EQ(got.error(), FsError::not_found);
+    }
+  }(w, *c, victim));
 }
 
 // A cache node that flaps (down, then back) must rejoin cold: the entry it
