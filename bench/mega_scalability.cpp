@@ -4,16 +4,14 @@
 // wave-spawned, zipf hot-directory load (workload/hotdir), every path
 // spelling shared through one fs::PathInterner arena -- and reports how the
 // engine holds up: host events/second, wall seconds and arena footprint.
-// Tracked across PRs in BENCH_kernel.json as the mega_*
-// keys (scripts/perfbench.sh --mega leg).
+// Host time is not gated; the latest full-scale reading is recorded in
+// EXPERIMENTS.md ("Mega scalability").
 //
-// Usage: mega_scalability [--clients N] [--nodes N] [--wave N] [--json FILE]
+// Usage: mega_scalability [--clients N] [--nodes N] [--wave N]
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <string>
 
 #include "harness/mega_scenario.h"
 #include "harness/run_report.h"
@@ -22,7 +20,6 @@ int main(int argc, char** argv) {
   using namespace pacon;
 
   harness::MegaConfig cfg;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--clients") && i + 1 < argc) {
       cfg.clients = std::strtoull(argv[++i], nullptr, 10);
@@ -30,11 +27,8 @@ int main(int argc, char** argv) {
       cfg.nodes = std::strtoull(argv[++i], nullptr, 10);
     } else if (!std::strcmp(argv[i], "--wave") && i + 1 < argc) {
       cfg.wave = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-      json_path = argv[++i];
     } else {
-      std::cerr << "usage: mega_scalability [--clients N] [--nodes N] [--wave N] "
-                   "[--json FILE]\n";
+      std::cerr << "usage: mega_scalability [--clients N] [--nodes N] [--wave N]\n";
       return 2;
     }
   }
@@ -65,22 +59,6 @@ int main(int argc, char** argv) {
   if (r.clients_completed != cfg.clients || r.ops_failed != 0) {
     std::cerr << "mega_scalability: FAILED (incomplete clients or failed ops)\n";
     return 1;
-  }
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n"
-        << "  \"mega_clients\": " << r.clients_completed << ",\n"
-        << "  \"mega_events\": " << r.events << ",\n"
-        << "  \"mega_events_per_sec\": " << static_cast<std::uint64_t>(events_per_sec) << ",\n"
-        << "  \"mega_wall_seconds\": " << wall << ",\n"
-        << "  \"mega_interned_paths\": " << r.interned_paths << ",\n"
-        << "  \"mega_interner_bytes\": " << r.interner_bytes << "\n"
-        << "}\n";
-    if (!out) {
-      std::cerr << "mega_scalability: failed to write " << json_path << "\n";
-      return 1;
-    }
   }
   return 0;
 }

@@ -17,11 +17,12 @@
 # all three artifacts held to scripts/trace_validate.py's invariants.
 # See DESIGN.md "Correctness tooling" and section 11 "Observability".
 #
-# Usage: scripts/check.sh [--fast] [--perf] [--jobs N]
+# Usage: scripts/check.sh [--fast] [--jobs N]
 #   --fast   only the ASan+UBSan leg of the matrix (half the wall clock)
-#   --perf   additionally build the Release+LTO perf tree and run the
-#            tracked wall-clock benchmark (scripts/perfbench.sh)
 #   --jobs N parallel build/test jobs (default: nproc)
+#
+# Host time is not gated here: compare a change against its parent with
+# scripts/ab.py (benchmark/README.md).
 #
 # Build trees land in build-check-<mode>/ and are reused incrementally on
 # re-runs, so the second invocation is much cheaper than the first.
@@ -30,12 +31,10 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc)"
 modes=(address thread)
-perf=0
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --fast) modes=(address); shift ;;
-    --perf) perf=1; shift ;;
     --jobs) jobs="$2"; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
@@ -113,11 +112,4 @@ trap 'rm -rf "$tracedir"' EXIT
 python3 "$root/scripts/trace_validate.py" "$tracedir/trace.json" \
   "$tracedir/timeline.json" "$tracedir/analysis.json"
 
-if [[ "$perf" == 1 ]]; then
-  echo "==== [perf] Release+LTO benchmark (scripts/perfbench.sh) ====================="
-  # Separate build tree (build-perf): perfbench.sh refuses to measure a
-  # sanitizer or detector tree, so the matrix trees above are never timed.
-  "$root/scripts/perfbench.sh" --build-dir "$root/build-perf"
-fi
-
-echo "check.sh: all gates passed (analyze, markdown, tidy, benchmark, sanitizer matrix: ${modes[*]}, trace$([[ "$perf" == 1 ]] && echo ', perf'))"
+echo "check.sh: all gates passed (analyze, markdown, tidy, benchmark, sanitizer matrix: ${modes[*]}, trace)"

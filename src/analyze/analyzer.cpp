@@ -58,13 +58,6 @@ std::vector<std::string_view> split_lines(std::string_view content) {
   return lines;
 }
 
-/// The legacy grep gate's blanket id keeps working as an alias for the whole
-/// determinism family.
-bool allow_matches(const std::string& allow_id, const std::string& rule) {
-  if (allow_id == rule) return true;
-  return allow_id == "sim-rules" && rule.compare(0, 4, "sim-") == 0;
-}
-
 void json_escape(std::ostringstream& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
@@ -166,9 +159,7 @@ Result run_analysis(const Options& opts, const Baseline* baseline) {
       const bool suppressed = std::any_of(
           f.lex.allows.begin(), f.lex.allows.end(), [&](const AllowDirective& a) {
             return a.target_line == finding.line &&
-                   std::any_of(a.rules.begin(), a.rules.end(), [&](const std::string& id) {
-                     return allow_matches(id, finding.rule);
-                   });
+                   std::find(a.rules.begin(), a.rules.end(), finding.rule) != a.rules.end();
           });
       if (suppressed) {
         ++result.suppressed;

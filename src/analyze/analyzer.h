@@ -15,8 +15,8 @@
 // and each rule declares the zones it patrols. Findings can be silenced two
 // ways:
 //   * inline: `// lint-allow: <rule-id>[,<rule-id>] <why>` on the offending
-//     line, or alone on the line above it (the legacy id `sim-rules` keeps
-//     working as an alias for the whole sim-* family);
+//     line, or alone on the line above it; the id must name the rule
+//     exactly (there is no family alias);
 //   * the checked-in baseline (scripts/analyze_baseline.txt): accepted
 //     pre-existing findings keyed by (rule, file, source-line text) so they
 //     survive unrelated line-number churn. See baseline.h.

@@ -4,8 +4,8 @@
 // Benches call enable_run_report("<figNN>") once at the top of main; every
 // TestBed then contributes a labelled snapshot of its metric registry when
 // it is torn down, and an atexit hook writes <name>_metrics.json into
-// $PACON_METRICS_DIR (default: reports/). Tests and the perf kernel never
-// enable it, so they pay nothing.
+// $PACON_METRICS_DIR (default: reports/). Tests and the repository
+// benchmark never enable it, so they pay nothing.
 //
 // enable_timeline("<figNN>") is the flight-recorder twin: every TestBed
 // then runs an obs::FlightRecorder over its simulation and contributes its

@@ -204,12 +204,9 @@ TestBed::~TestBed() {
 
 void TestBed::provision_workspace(const std::string& path, fs::Credentials creds) {
   dfs::DfsClient admin(*sim_, *dfs_, net::NodeId{90'000});
-  sim::run_task(*sim_, [](dfs::DfsClient& io, fs::Path p, fs::Credentials c) -> sim::Task<> {
-    dfs::MetaRequest req;  // direct admin action: create with app ownership
-    (void)req;
-    (void)c;
+  sim::run_task(*sim_, [](dfs::DfsClient& io, fs::Path p) -> sim::Task<> {
     (void)co_await io.mkdir(p, fs::FileMode{0x7, 0x7, 0x7});
-  }(admin, fs::Path::parse(path), creds));
+  }(admin, fs::Path::parse(path)));
   if (config_.kind == SystemKind::indexfs) {
     indexfs::IndexFsClient admin_ifs(*sim_, *indexfs_, net::NodeId{90'000}, creds);
     sim::run_task(*sim_, [](indexfs::IndexFsClient& io, fs::Path p) -> sim::Task<> {

@@ -67,7 +67,8 @@ class TestBed {
     return net::NodeId{static_cast<std::uint32_t>(i)};
   }
 
-  /// Creates the workspace directory on the DFS (admin action).
+  /// Creates the workspace directory, mode 0777, on the DFS as the
+  /// default-credential admin; on IndexFS it is also created there as `creds`.
   void provision_workspace(const std::string& path, fs::Credentials creds);
 
   /// Client for the system under test, homed on client node `node_index`.

@@ -1,10 +1,10 @@
 // Machine-readable run reports.
 //
 // Serializes a MetricRegistry snapshot to JSON so benches can emit
-// `<name>_metrics.json` sidecars that scripts (perfbench.sh --metrics,
-// ad-hoc analysis) consume without scraping stdout. One report may hold
-// several labelled snapshots -- a bench that builds multiple testbeds
-// (pacon vs. indexfs vs. beegfs legs) captures each under its own label.
+// `<name>_metrics.json` sidecars that scripts and ad-hoc analysis can read
+// without scraping stdout. One report may hold several labelled snapshots --
+// a bench that builds multiple testbeds (pacon vs. indexfs vs. beegfs legs)
+// captures each under its own label.
 #pragma once
 
 #include <string>

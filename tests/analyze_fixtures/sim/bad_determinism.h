@@ -14,6 +14,9 @@ inline std::mutex big_lock;  // expect: sim-os-lock
 
 inline int roll_dice() { return rand() % 6; }  // expect: sim-libc-rand
 
+// lint-allow: sim-rules the retired blanket alias must not silence the sim-* family
+inline int legacy_roll() { return rand(); }  // expect: sim-libc-rand
+
 inline long stamp_now() { return time(nullptr); }  // expect: sim-wall-clock
 
 inline auto epoch() { return std::chrono::system_clock::now(); }  // expect: sim-chrono-clock

@@ -1,6 +1,10 @@
 // Unit tests for the small core pieces: cached-entry codec, epoch
-// coordinator, LRU/TTL cache, and the IndexFS attr codec.
+// coordinator, both LRU/TTL caches, and the IndexFS attr codec.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "core/epoch.h"
 #include "core/meta_entry.h"
@@ -131,47 +135,94 @@ TEST(EpochCoordinator, PastEpochsPassImmediately) {
   EXPECT_TRUE(passed);
 }
 
-TEST(LruTtlCache, InsertFindErase) {
-  fs::LruTtlCache<int> cache(4, 1000);
-  cache.insert("a", 1, 0);
-  ASSERT_NE(cache.find("a", 10), nullptr);
-  EXPECT_EQ(*cache.find("a", 10), 1);
-  cache.erase("a");
-  EXPECT_EQ(cache.find("a", 10), nullptr);
+// LruTtlCache (string keys: the DFS dentry and IndexFS lease caches) and
+// HashLruTtlCache (path-hash keys: Pacon's parent-hint cache) share their
+// TTL and LRU rules; each case below runs on both.
+template <typename Cache>
+auto key(std::string_view path) {
+  if constexpr (std::is_same_v<Cache, fs::LruTtlCache<int>>) {
+    return std::string(path);
+  } else {
+    return fs::Path::parse(path).hash();
+  }
 }
 
-TEST(LruTtlCache, TtlExpires) {
-  fs::LruTtlCache<int> cache(4, 100);
-  cache.insert("a", 1, 0);
-  EXPECT_NE(cache.find("a", 100), nullptr);   // at expiry edge: valid
-  EXPECT_EQ(cache.find("a", 101), nullptr);   // past expiry
+template <typename Cache>
+void check_insert_find_forget() {
+  Cache cache(4, 1000);
+  const auto a = key<Cache>("/a");
+  cache.insert(a, 1, 0);
+  ASSERT_NE(cache.find(a, 10), nullptr);
+  EXPECT_EQ(*cache.find(a, 10), 1);
+  if constexpr (requires { cache.erase(a); }) {
+    cache.erase(a);
+  } else {
+    cache.clear();
+  }
+  EXPECT_EQ(cache.find(a, 10), nullptr);
 }
 
-TEST(LruTtlCache, CapacityEvictsLru) {
-  fs::LruTtlCache<int> cache(2, 1000);
-  cache.insert("a", 1, 0);
-  cache.insert("b", 2, 0);
-  (void)cache.find("a", 1);  // a is now most-recent
-  cache.insert("c", 3, 0);   // evicts b
-  EXPECT_NE(cache.find("a", 2), nullptr);
-  EXPECT_EQ(cache.find("b", 2), nullptr);
-  EXPECT_NE(cache.find("c", 2), nullptr);
+template <typename Cache>
+void check_ttl_expires() {
+  Cache cache(4, 100);
+  const auto a = key<Cache>("/a");
+  cache.insert(a, 1, 0);
+  EXPECT_NE(cache.find(a, 100), nullptr);  // at expiry edge: valid
+  EXPECT_EQ(cache.find(a, 101), nullptr);  // past expiry
 }
 
-TEST(LruTtlCache, ZeroCapacityNeverStores) {
-  fs::LruTtlCache<int> cache(0, 1000);
-  cache.insert("a", 1, 0);
-  EXPECT_EQ(cache.find("a", 0), nullptr);
+template <typename Cache>
+void check_capacity_evicts_lru() {
+  Cache cache(2, 1000);
+  const auto a = key<Cache>("/a");
+  const auto b = key<Cache>("/b");
+  const auto c = key<Cache>("/c");
+  cache.insert(a, 1, 0);
+  cache.insert(b, 2, 0);
+  (void)cache.find(a, 1);  // a is now most-recent
+  cache.insert(c, 3, 0);   // evicts b
+  EXPECT_NE(cache.find(a, 2), nullptr);
+  EXPECT_EQ(cache.find(b, 2), nullptr);
+  EXPECT_NE(cache.find(c, 2), nullptr);
+}
+
+template <typename Cache>
+void check_zero_capacity_never_stores() {
+  Cache cache(0, 1000);
+  const auto a = key<Cache>("/a");
+  cache.insert(a, 1, 0);
+  EXPECT_EQ(cache.find(a, 0), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(LruTtlCache, UpdateRefreshesValueAndTtl) {
-  fs::LruTtlCache<int> cache(4, 100);
-  cache.insert("a", 1, 0);
-  cache.insert("a", 2, 50);  // refresh at t=50 -> expires at 150
-  ASSERT_NE(cache.find("a", 120), nullptr);
-  EXPECT_EQ(*cache.find("a", 120), 2);
+template <typename Cache>
+void check_update_refreshes_value_and_ttl() {
+  Cache cache(4, 100);
+  const auto a = key<Cache>("/a");
+  cache.insert(a, 1, 0);
+  cache.insert(a, 2, 50);  // refresh at t=50 -> expires at 150
+  ASSERT_NE(cache.find(a, 120), nullptr);
+  EXPECT_EQ(*cache.find(a, 120), 2);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+using StringCache = fs::LruTtlCache<int>;
+using HashCache = fs::HashLruTtlCache<int>;
+
+TEST(LruTtlCache, InsertFindErase) { check_insert_find_forget<StringCache>(); }
+TEST(LruTtlCache, TtlExpires) { check_ttl_expires<StringCache>(); }
+TEST(LruTtlCache, CapacityEvictsLru) { check_capacity_evicts_lru<StringCache>(); }
+TEST(LruTtlCache, ZeroCapacityNeverStores) { check_zero_capacity_never_stores<StringCache>(); }
+TEST(LruTtlCache, UpdateRefreshesValueAndTtl) {
+  check_update_refreshes_value_and_ttl<StringCache>();
+}
+
+TEST(HashLruTtlCache, InsertFindClear) { check_insert_find_forget<HashCache>(); }
+TEST(HashLruTtlCache, TtlExpires) { check_ttl_expires<HashCache>(); }
+TEST(HashLruTtlCache, CapacityEvictsLru) { check_capacity_evicts_lru<HashCache>(); }
+TEST(HashLruTtlCache, ZeroCapacityNeverStores) { check_zero_capacity_never_stores<HashCache>(); }
+TEST(HashLruTtlCache, UpdateRefreshesValueAndTtl) {
+  check_update_refreshes_value_and_ttl<HashCache>();
 }
 
 }  // namespace
